@@ -21,7 +21,6 @@ from .wavefunction import (
     PlaneWaveMode,
     dirac_residual,
     make_mode,
-    superpose,
 )
 from .foliation import (
     AffineRelabeled,

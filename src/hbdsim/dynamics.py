@@ -90,9 +90,6 @@ class TrajectoryBundle:
     def completed(self) -> bool:
         return self.valid_steps == len(self.s_grid) - 1
 
-    def configuration(self, i) -> NConfiguration:
-        return NConfiguration(float(self.s_grid[i]), self.points[i])
-
 
 @dataclass
 class TrajectoryEnsemble:

@@ -23,7 +23,7 @@ import numpy as np
 from .currents import currents_all_batch, density_batch
 from .errors import BoundaryLeak, EnvelopeBreach
 from .geometry import alpha, apply_in_slot, minkowski_norm_sq
-from .dynamics import NConfiguration, TrajectoryEnsemble
+from .dynamics import TrajectoryEnsemble
 
 __all__ = [
     "trajectory_rng",
@@ -31,7 +31,6 @@ __all__ = [
     "LeafDensity",
     "SampleSet",
     "sample_leaf",
-    "CrossingSample",
     "CrossingSet",
     "crossings",
     "EquivarianceReport",
@@ -129,8 +128,8 @@ class LeafDensity:
             return n
         return self.foliation.normal(pts)
 
-    def weight(self, xi):
-        """Unnormalized sampling weight at chart tuples (..., N, sd)."""
+    def _rho_area(self, xi):
+        # rho and the product of the particles' area elements at chart tuples
         xi = np.asarray(xi, dtype=float)
         pts = self.points(xi)
         vals = self.psi.evaluate_batch(pts)
@@ -139,6 +138,11 @@ class LeafDensity:
         area = np.ones(xi.shape[:-2])
         for k in range(self.psi.n_particles):
             area = area * self.foliation.area_element(self.s, xi[..., k, :])
+        return rho, area
+
+    def weight(self, xi):
+        """Unnormalized sampling weight at chart tuples (..., N, sd)."""
+        rho, area = self._rho_area(xi)
         return rho * area
 
     def weight_flat(self, u):
@@ -154,12 +158,8 @@ class LeafDensity:
             axes = self._scan_axes(self.scan_resolution)
             mesh = np.meshgrid(*axes, indexing="ij")
             u = np.stack([m.ravel() for m in mesh], axis=-1)
-            xi = self.chart_tuples(u)
-            w = self.weight(xi)
-            pts = self.points(xi)
-            vals = self.psi.evaluate_batch(pts)
-            rho = density_batch(vals, self._normals(pts),
-                                self.psi.n_particles, self.psi.mode)
+            rho, area = self._rho_area(self.chart_tuples(u))
+            w = rho * area
             imax = int(np.argmax(w))
             self._scan = {
                 "max_weight": float(w[imax]),
@@ -312,11 +312,6 @@ class SampleSet:
     def points(self):
         return self.density.points(self.chart)
 
-    def configurations(self):
-        pts = self.points()
-        s = self.density.s
-        return [NConfiguration(s, pts[i]) for i in range(pts.shape[0])]
-
 
 def sample_leaf(density: LeafDensity, m_samples: int, seed: int,
                 proposal_block: int = 64, envelope_factor: float = 1.1,
@@ -385,13 +380,6 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
     return out
 
 
-@dataclass(frozen=True)
-class CrossingSample:
-    trajectory_id: int
-    s: float
-    chart: np.ndarray            # (N, sd)
-
-
 @dataclass
 class CrossingSet:
     """Leaf crossings of an ensemble, with exclusion bookkeeping."""
@@ -408,10 +396,6 @@ class CrossingSet:
     @property
     def n_excluded(self):
         return len(self.excluded_ids)
-
-    def sample(self, i) -> CrossingSample:
-        return CrossingSample(int(self.trajectory_ids[i]), self.s,
-                              self.chart[i])
 
 
 def crossings(ensemble: TrajectoryEnsemble, s_target: float) -> CrossingSet:

@@ -20,7 +20,6 @@ from .geometry import (
     SpinDimensionMode,
     apply_in_slot,
     gamma,
-    minkowski_dot,
     slash,
 )
 
@@ -48,9 +47,6 @@ class PlaneWaveMode:
     mode: SpinDimensionMode
     w: np.ndarray = field(compare=False)
     four_momentum: np.ndarray = field(compare=False)
-
-    def key(self):
-        return (self.p, self.m, self.energy_sign, self.spin_label, self.mode)
 
 
 def _seed_index(sign: int, label: int, mode: SpinDimensionMode) -> int:
@@ -111,13 +107,6 @@ def make_mode(p, m, energy_sign, spin_label,
                          w=w, four_momentum=p4)
 
 
-def _kron_vec(vectors):
-    out = np.asarray(vectors[0], dtype=complex)
-    for v in vectors[1:]:
-        out = np.kron(out, v)
-    return out
-
-
 class NParticleWavefunction:
     """Finite sum of coefficient-weighted tensor products of plane-wave modes.
 
@@ -126,14 +115,22 @@ class NParticleWavefunction:
     realized by supplying more than one term. Wave functions are not
     normalized at construction; the ensemble layer normalizes by the total
     leaf flux where a probability reading is needed.
+
+    Every state is held as a sum of product branches: a term is a branch
+    whose factors each hold one mode with weight 1, and
+    ``from_product_branches`` passes factors of many modes. ``terms`` is
+    always the full expansion.
     """
 
-    def __init__(self, terms, n_particles=None, branches=None):
+    def __init__(self, terms):
         terms = [(complex(c), tuple(modes)) for c, modes in terms]
+        self._setup(terms, [(c, tuple(((1.0, md),) for md in modes))
+                            for c, modes in terms])
+
+    def _setup(self, terms, branches):
         if not terms:
             raise ValueError("wavefunction needs at least one term")
-        if n_particles is None:
-            n_particles = len(terms[0][1])
+        n_particles = len(terms[0][1])
         if not all(len(modes) == n_particles for _, modes in terms):
             raise ValueError("every term must supply one mode per particle")
         if not any(c != 0 for c, _ in terms):
@@ -147,28 +144,15 @@ class NParticleWavefunction:
                 if md.mode is not self.mode or md.m != self.mass:
                     raise ValueError("all modes must share mass and dimension mode")
 
-        self.n_particles = int(n_particles)
+        self.n_particles = n_particles
         self.terms = tuple(terms)
         self.dim = self.mode.spin_space_dim(self.n_particles)
-        self._branches = branches
-
-        # Flat-path tables: per-slot distinct four-momenta plus, per term,
-        # the kron'd amplitude spinor and the slot -> momentum index map.
-        self._slot_p4 = []
-        self._slot_index = np.zeros((len(terms), self.n_particles), dtype=int)
-        for k in range(self.n_particles):
-            seen = {}
-            p4s = []
-            for t, (_, modes) in enumerate(terms):
-                key = modes[k].key()
-                if key not in seen:
-                    seen[key] = len(p4s)
-                    p4s.append(modes[k].four_momentum)
-                self._slot_index[t, k] = seen[key]
-            self._slot_p4.append(np.array(p4s))
-        self._coeffs = np.array([c for c, _ in terms])
-        self._kron_spinors = np.array(
-            [_kron_vec([md.w for md in modes]) for _, modes in terms])
+        # per branch: coefficient and, per factor, its (weight, mode) list
+        # with the four-momentum table of its modes
+        self._branches = [
+            (c, [(factor, np.array([md.four_momentum for _, md in factor]))
+                 for factor in factors])
+            for c, factors in branches]
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -176,8 +160,8 @@ class NParticleWavefunction:
 
         ``branches`` is a sequence of (complex coefficient, factors) where
         ``factors[k]`` is a list of (complex weight, PlaneWaveMode) for
-        particle k+1. The flat term list is the full expansion; the branch
-        structure is kept for fast factored evaluation.
+        particle k+1. ``terms`` is the full expansion; evaluation runs on
+        the factored form.
         """
         branches = [(complex(c), tuple(tuple((complex(w), md) for w, md in f)
                                        for f in factors))
@@ -189,7 +173,9 @@ class NParticleWavefunction:
                 for w, _ in combo:
                     coeff = coeff * w
                 terms.append((coeff, tuple(md for _, md in combo)))
-        return cls(terms, branches=branches)
+        psi = cls.__new__(cls)
+        psi._setup(terms, branches)
+        return psi
 
     def _slot_phases(self, x, p4s):
         # exp(-i p.x) for a table of four-momenta, batched over leading axes
@@ -203,36 +189,18 @@ class NParticleWavefunction:
     def evaluate_batch(self, points) -> np.ndarray:
         """Values of psi at a batch of point tuples, shape (..., N, 4) -> (..., D).
 
-        Uses the factored branch form when available (the two code paths
-        agree to roundoff; tests pin that down).
+        Each branch is the Kronecker product of its per-particle factor
+        values, each factor a weighted sum of plane waves.
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
             raise ValueError(f"points must have shape (..., {self.n_particles}, 4)")
-        if self._branches is not None:
-            return self._evaluate_branches(x)
-        return self._evaluate_flat(x)
-
-    def _evaluate_flat(self, x):
-        lead = x.shape[:-2]
-        phases = [self._slot_phases(x[..., k, :], self._slot_p4[k])
-                  for k in range(self.n_particles)]
-        out = np.zeros(lead + (self.dim,), dtype=complex)
-        for t in range(len(self.terms)):
-            ph = phases[0][..., self._slot_index[t, 0]]
-            for k in range(1, self.n_particles):
-                ph = ph * phases[k][..., self._slot_index[t, k]]
-            out += (self._coeffs[t] * ph)[..., None] * self._kron_spinors[t]
-        return out
-
-    def _evaluate_branches(self, x):
         lead = x.shape[:-2]
         d = self.mode.spinor_dim
         out = np.zeros(lead + (self.dim,), dtype=complex)
         for c_br, factors in self._branches:
             val = None
-            for k, factor in enumerate(factors):
-                p4s = np.array([md.four_momentum for _, md in factor])
+            for k, (factor, p4s) in enumerate(factors):
                 ph = self._slot_phases(x[..., k, :], p4s)
                 fk = np.zeros(lead + (d,), dtype=complex)
                 for a, (w_a, md) in enumerate(factor):
@@ -252,20 +220,6 @@ class NParticleWavefunction:
         if x.shape != (self.n_particles, 4):
             raise ValueError(f"expected {self.n_particles} spacetime points")
         return MultiSpinor(self.evaluate_batch(x), self.n_particles, self.mode)
-
-    def scaled(self, factor):
-        return NParticleWavefunction(
-            [(factor * c, modes) for c, modes in self.terms])
-
-
-def superpose(coeff_a, psi_a: NParticleWavefunction,
-              coeff_b, psi_b: NParticleWavefunction) -> NParticleWavefunction:
-    """Linear combination coeff_a * psi_a + coeff_b * psi_b (term-list merge)."""
-    if psi_a.n_particles != psi_b.n_particles or psi_a.mode is not psi_b.mode:
-        raise ValueError("superposition needs matching particle count and mode")
-    terms = [(coeff_a * c, modes) for c, modes in psi_a.terms]
-    terms += [(coeff_b * c, modes) for c, modes in psi_b.terms]
-    return NParticleWavefunction(terms)
 
 
 def dirac_residual(psi: NParticleWavefunction, k: int, x, h: float) -> float:
@@ -293,8 +247,3 @@ def dirac_residual(psi: NParticleWavefunction, k: int, x, h: float) -> float:
         slashed += apply_in_slot(dpsi, gamma(mu, psi.mode), k, n, psi.mode)
     center = psi.evaluate_batch(x)
     return float(np.linalg.norm(1j * slashed - psi.mass * center))
-
-
-def mode_phase(md: PlaneWaveMode, x) -> complex:
-    """Plane-wave phase factor exp(-i p.x) of a single mode."""
-    return complex(np.exp(-1j * minkowski_dot(md.four_momentum, np.asarray(x))))

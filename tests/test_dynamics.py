@@ -261,7 +261,8 @@ def test_bd_velocity_examples():
     v = bd_flat_velocity(psi, 0.0, np.array([[0.4]]))
     assert abs(v[0, 0] - 0.9 / np.sqrt(1.81)) < 1e-12
 
-    scaled = psi.scaled(0.3 - 1.2j)
+    scaled = NParticleWavefunction(
+        [((0.3 - 1.2j) * c, modes) for c, modes in psi.terms])
     v2 = bd_flat_velocity(scaled, 0.0, np.array([[0.4]]))
     assert np.max(np.abs(v - v2)) < 1e-14
 

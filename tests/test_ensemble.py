@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hbdsim.dynamics import integrate_ensemble
+from hbdsim.currents import density_batch
+from hbdsim.dynamics import NConfiguration, integrate_ensemble
 from hbdsim.ensemble import (
     CrossingSet,
     LeafDensity,
@@ -64,6 +65,38 @@ def test_leaf_density_uniform_normalization():
     assert abs(dens.quadrature_mean(0)) < 1e-12
 
 
+def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
+    fol = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-40, 40]],
+                    spatial_dims=1)
+    ma = make_mode([0.7], 1.0, 1, 1, D11)
+    mb = make_mode([-0.5], 1.0, 1, 1, D11)
+    psi = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, ma), (0.4, mb)], [(0.5j, mb)]]),
+         (0.3, [[(1.0, mb)], [(1.0, ma)]])])
+    res = 41
+    dens = LeafDensity(fol, 0.0, psi, [[[-6.0, 5.0]], [[-5.0, 6.0]]], 16,
+                       scan_resolution=res)
+    rows = []
+    evaluate = psi.evaluate_batch
+
+    def counting(points):
+        rows.append(int(np.prod(np.shape(points)[:-2])))
+        return evaluate(points)
+
+    monkeypatch.setattr(psi, "evaluate_batch", counting)
+    scan = dens.scan()
+    monkeypatch.undo()
+    assert sum(rows) == res ** 2
+
+    mesh = np.meshgrid(np.linspace(-6.0, 5.0, res), np.linspace(-5.0, 6.0, res),
+                       indexing="ij")
+    u = np.stack([m.ravel() for m in mesh], axis=-1)
+    assert scan["max_weight"] == np.max(dens.weight_flat(u))
+    pts = dens.points(dens.chart_tuples(u))
+    rho = density_batch(psi.evaluate_batch(pts), fol.normal(pts), 2, D11)
+    assert scan["max_rho"] == np.max(rho)
+
+
 def test_sampling_uniform_ks():
     dens = LeafDensity(FlatTime(1), 0.0, rest_psi(), [[[-2.0, 2.0]]], 32)
     ss = sample_leaf(dens, 2000, seed=3)
@@ -100,8 +133,8 @@ def test_sampling_configurations_on_leaf():
     psi = packet_psi(fol)
     dens = LeafDensity(fol, 0.0, psi, [[[-8.0, 9.0]]], 32)
     ss = sample_leaf(dens, 50, seed=5)
-    for cfg in ss.configurations():
-        cfg.validate(fol)
+    for p in ss.points():
+        NConfiguration(dens.s, p).validate(fol)
 
 
 def test_boundary_leak_detected():

@@ -6,7 +6,6 @@ from hbdsim.wavefunction import (
     NParticleWavefunction,
     dirac_residual,
     make_mode,
-    superpose,
 )
 
 from conftest import kron_chain
@@ -124,7 +123,7 @@ def test_linearity(rng):
     psi = NParticleWavefunction([(1.0, (ma,))])
     phi = NParticleWavefunction([(1.0, (mb,))])
     a, b = 0.6 - 1.1j, -0.2 + 0.9j
-    combo = superpose(a, psi, b, phi)
+    combo = NParticleWavefunction([(a, (ma,)), (b, (mb,))])
     for _ in range(5):
         x = rng.normal(size=(1, 4))
         x[:, 2:] = 0.0
@@ -148,20 +147,25 @@ def test_product_factorization(rng):
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
-def test_branch_path_matches_flat_path(rng):
+def test_branch_form_matches_term_expansion(rng):
+    # the factored evaluation equals the plain-numpy sum over the expanded
+    # term list of c * kron(w_k exp(-i p_k.x_k))
     f1 = [(0.8, make_mode([0.5], 1.0, 1, 1, D11)),
           (0.2j, make_mode([1.0], 1.0, 1, 1, D11))]
     f2 = [(1.0, make_mode([-0.5], 1.0, 1, 1, D11)),
           (-0.4, make_mode([0.1], 1.0, -1, 1, D11))]
     psi = NParticleWavefunction.from_product_branches(
         [(1.0, [f1, f2]), (0.5 - 0.5j, [f2, f1])])
-    assert psi._branches is not None
-    flat = NParticleWavefunction(psi.terms)      # same terms, no branch path
+    assert len(psi.terms) == 8
     x = rng.normal(size=(6, 2, 4))
     x[..., 2:] = 0.0
-    a = psi.evaluate_batch(x)
-    b = flat.evaluate_batch(x)
-    assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(b))
+    expected = np.array([
+        sum(c * kron_chain([md.w * np.exp(-1j * minkowski_dot(
+            md.four_momentum, xi[k])) for k, md in enumerate(modes)])
+            for c, modes in psi.terms)
+        for xi in x])
+    got = psi.evaluate_batch(x)
+    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_dirac_residual_rest_mode():
