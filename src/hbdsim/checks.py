@@ -20,6 +20,7 @@ from .dynamics import (
     sample_path_at_times,
 )
 from .ensemble import flat_continuity_residual
+from .errors import ConsistencyError
 from .foliation import FlatTime, GraphLeaf, RippleProfile, TanhProfile, frobenius_residual, twisted_field
 from .geometry import SpinDimensionMode, minkowski_dot, minkowski_norm_sq
 from .wavefunction import NParticleWavefunction, dirac_residual, make_mode
@@ -262,32 +263,27 @@ def _reference_entangled_pair(mode=D11):
     ])
 
 
-def flat_reduction_deviation(step=0.02, s_end=2.0):
+def flat_reduction_deviation(psi, q0, s0, s1, step):
     """(deviation, tolerance): covariant integrator on FlatTime vs the
-    flat-frame oracle integrator, tolerance 10x the step-halving error."""
-    psi = _reference_entangled_pair()
-    flat = FlatTime(spatial_dims=1)
-    q0 = np.array([[0.4], [-0.7]])
-    pts0 = np.zeros((2, 4))
-    pts0[:, 1] = q0[:, 0]
+    flat-frame oracle integrator from the spatial positions ``q0`` (N, sd)
+    over the labels s0 -> s1, tolerance 10x the step-halving error."""
+    sd = psi.mode.spatial_dims
+    flat = FlatTime(spatial_dims=sd)
+    q0 = np.asarray(q0, dtype=float)
+    start = NConfiguration(s0, flat.leaf_point(s0, q0))
 
-    def hbd_paths(h):
-        b = integrate(psi, flat, NConfiguration(0.0, pts0), s_end, h)
-        return b.s_grid, b.points[:, :, 1]
+    def paths(h):
+        b = integrate(psi, flat, start, s1, h)
+        t, q = integrate_flat_bd(psi, s0, s1, h, q0)
+        if not np.array_equal(t, b.s_grid):
+            raise ConsistencyError("covariant and flat-frame grids differ")
+        return b.points[..., 1:1 + sd], q
 
-    def bd_paths(h):
-        t, q = integrate_flat_bd(psi, 0.0, s_end, h, q0)
-        return t, q[:, :, 0]
-
-    s, qa = hbd_paths(step)
-    _, qb = bd_paths(step)
+    qa, qb = paths(step)
+    qa2, qb2 = paths(step / 2)
     dev = float(np.max(np.abs(qa - qb)))
-
-    _, qa2 = hbd_paths(step / 2)
-    _, qb2 = bd_paths(step / 2)
     est = (np.max(np.abs(qa - qa2[::2])) + np.max(np.abs(qb - qb2[::2])))
-    tol = 10.0 * (est + 1e-12)
-    return dev, tol
+    return dev, 10.0 * (est + 1e-12)
 
 
 def default_curved_foliation(spatial_dims):
@@ -492,7 +488,8 @@ def run_all(scenario=None, seed=12345, gamma_fn=None, draws_scale=1.0):
     add("frobenius_twisted", stat, 0.1, stat > 0.1,
         "non-integrable reference field stays bounded away from zero")
 
-    dev, tol = flat_reduction_deviation()
+    dev, tol = flat_reduction_deviation(_reference_entangled_pair(),
+                                        [[0.4], [-0.7]], 0.0, 2.0, 0.02)
     add("flat_reduction", dev, tol, dev < tol,
         "covariant integrator vs flat-frame oracle on FlatTime")
 

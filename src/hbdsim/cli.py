@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks as checks_mod
+from .currents import density_batch
 from .dynamics import integrate_ensemble
 from .ensemble import LeafDensity, crossings, equivariance_test, sample_leaf
 from .errors import ScenarioError, SimulationError
@@ -51,24 +52,17 @@ def _apply_seed_override(scenario: Scenario, seed_override):
     return int(seed_override)
 
 
-def _node_threshold(scenario: Scenario, density=None):
-    factor = scenario.integration.node_threshold_factor
-    if density is not None:
-        return factor * density.max_rho()
-    # no sampling box to scan: fall back to the initial configurations
-    configs = scenario.initial_configurations()
-    if not configs:
-        return 0.0
-    from .currents import density_batch
-    pts = np.stack([c.points for c in configs])
-    normals = scenario.foliation.normal(pts)
-    vals = scenario.psi.evaluate_batch(pts)
-    rho = density_batch(vals, normals, scenario.n_particles, scenario.mode)
-    return factor * float(np.max(rho))
+def _node_threshold(scenario: Scenario, density):
+    return scenario.integration.node_threshold_factor * density.max_rho()
 
 
 def run_simulate(scenario: Scenario, outdir, workers=1, seed_override=None):
-    """Integrate the listed initial configurations; write CSV artifacts."""
+    """Integrate the listed initial configurations; write CSV artifacts.
+
+    The node threshold is ``node_threshold_factor`` times the largest rho
+    among the listed configurations; nothing from the ensemble block but its
+    seed (written into the CSV headers) is used.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     configs = scenario.initial_configurations()
@@ -77,15 +71,13 @@ def run_simulate(scenario: Scenario, outdir, workers=1, seed_override=None):
                             "scenario lists no initial_positions to simulate")
     seed = _apply_seed_override(scenario, seed_override)
 
-    density = None
-    if scenario.ensemble is not None:
-        density = LeafDensity(scenario.foliation, scenario.integration.s0,
-                              scenario.psi, scenario.ensemble.boxes,
-                              scenario.ensemble.quadrature_order,
-                              scenario.ensemble.scan_resolution)
-    threshold = _node_threshold(scenario, density)
-
     pts0 = np.stack([c.points for c in configs])
+    rho0 = density_batch(scenario.psi.evaluate_batch(pts0),
+                         scenario.foliation.normal(pts0),
+                         scenario.n_particles, scenario.mode)
+    threshold = (scenario.integration.node_threshold_factor
+                 * float(np.max(rho0)))
+
     ens = integrate_ensemble(scenario.psi, scenario.foliation, pts0,
                              scenario.integration.s0, scenario.integration.s1,
                              scenario.integration.step, threshold,

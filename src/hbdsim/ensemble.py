@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 BOUNDARY_FLUX_TOLERANCE = 1e-6
+MAX_QUADRATURE_NODES = 50_000_000      # cap on quad_order ** joint dims
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -102,7 +103,7 @@ class LeafDensity:
         self.scan_resolution = (int(scan_resolution) if scan_resolution
                                 else _auto_resolution(self.dims))
         self.flat_normals = bool(flat_normals)
-        if self.quad_order ** self.dims > 5e7:
+        if self.quad_order ** self.dims > MAX_QUADRATURE_NODES:
             raise ValueError("joint quadrature grid too large; lower the order")
         self._scan = None
         self._z = None

@@ -26,6 +26,7 @@ from importlib import resources
 import numpy as np
 
 from .dynamics import NConfiguration
+from .ensemble import MAX_QUADRATURE_NODES
 from .errors import ScenarioError
 from .foliation import ConstantNormal, FlatTime, GraphLeaf, RippleProfile, TanhProfile
 from .geometry import SpinDimensionMode, minkowski_dot
@@ -290,10 +291,16 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
         # default bin count per axis ~ M^(1/(2 + joint dims))
         joint_dims = psi.n_particles * sd
         default_bins = max(4, round(size ** (1.0 / (2 + joint_dims))))
+        order = ens_raw.get("quadrature_order", 64)
+        if (not isinstance(order, int) or order < 1
+                or order ** joint_dims > MAX_QUADRATURE_NODES):
+            _fail("ensemble",
+                  f"quadrature_order {order!r} must be an integer >= 1 "
+                  f"with order**{joint_dims} <= {MAX_QUADRATURE_NODES}")
         ensemble = EnsembleBlock(
             size=size, seed=seed, boxes=boxes, target_boxes=target_boxes,
             bins_per_axis=int(ens_raw.get("bins_per_axis", default_bins)),
-            quadrature_order=int(ens_raw.get("quadrature_order", 64)),
+            quadrature_order=order,
             tv_threshold=float(ens_raw.get("tv_threshold", 0.05)),
             ks_coefficient=float(ens_raw.get("ks_coefficient", 1.63)),
             scan_resolution=ens_raw.get("scan_resolution"))

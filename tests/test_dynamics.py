@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hbdsim.checks import flat_reduction_deviation
 from hbdsim.currents import current_jk
 from hbdsim.dynamics import (
     NConfiguration,
@@ -8,7 +9,6 @@ from hbdsim.dynamics import (
     hbd_velocity,
     integrate,
     integrate_ensemble,
-    integrate_flat_bd,
     sample_path_at_times,
 )
 from hbdsim.errors import ConsistencyError, NodeProximity
@@ -113,22 +113,9 @@ def test_single_mode_straight_on_curved():
 
 
 def test_flat_reduction_matches_oracle():
-    psi = entangled_psi(seed=11)
-    flat = FlatTime(spatial_dims=1)
-    q0 = np.array([[0.4], [-0.7]])
-    pts0 = np.zeros((2, 4))
-    pts0[:, 1] = q0[:, 0]
-    h = 0.02
-    b = integrate(psi, flat, NConfiguration(0.0, pts0), 2.0, h)
-    t, q = integrate_flat_bd(psi, 0.0, 2.0, h, q0)
-    assert np.array_equal(t, b.s_grid)
-    dev = np.max(np.abs(b.points[:, :, 1] - q[:, :, 0]))
-
-    b2 = integrate(psi, flat, NConfiguration(0.0, pts0), 2.0, h / 2)
-    _, q2 = integrate_flat_bd(psi, 0.0, 2.0, h / 2, q0)
-    est = (np.max(np.abs(b.points[:, :, 1] - b2.points[::2, :, 1]))
-           + np.max(np.abs(q[:, :, 0] - q2[::2, :, 0])))
-    assert dev < 10 * (est + 1e-12)
+    dev, tol = flat_reduction_deviation(entangled_psi(seed=11),
+                                        [[0.4], [-0.7]], 0.0, 2.0, 0.02)
+    assert dev < tol
 
 
 def test_rk4_step_halving_order():

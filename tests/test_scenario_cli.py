@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hbdsim.cli import main, run_equilibrium, run_simulate
+from hbdsim.ensemble import MAX_QUADRATURE_NODES, LeafDensity
 from hbdsim.errors import ScenarioError
 from hbdsim.scenario import (
     bundled_scenario_names,
@@ -85,6 +86,10 @@ def test_hash_tracks_content():
     (lambda r: r["integration"].update(step=0.0), "integration"),
     (lambda r: r["ensemble"].update(size=0), "ensemble"),
     (lambda r: r["ensemble"].update(boxes=[[[2.0, -2.0]]]), "ensemble"),
+    (lambda r: r["ensemble"].update(quadrature_order=0), "ensemble"),
+    (lambda r: r["ensemble"].update(quadrature_order="high"), "ensemble"),
+    (lambda r: r["ensemble"].update(quadrature_order=MAX_QUADRATURE_NODES + 1),
+     "ensemble"),
 ])
 def test_validation_error_kinds(mutate, kind):
     raw = small_scenario_dict()
@@ -161,6 +166,50 @@ def test_cli_exit_codes(tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["simulate", "--scenario", str(missing),
                  "--out", str(tmp_path / "o4")]) == 2
+
+
+def test_cli_rejects_oversized_quadrature_grid(tmp_path, capsys):
+    # flat D31 with N = 2: the default order 64 asks for 64**6 joint nodes
+    raw = {
+        "schema_version": 1, "name": "test_d31_pair", "mode": "D31",
+        "mass": 1.0,
+        "wavefunction": {"terms": [
+            {"coefficient": [1.0, 0.0],
+             "modes": [{"p": [0.3, 0.0, 0.1]}, {"p": [-0.2, 0.1, 0.0]}]}]},
+        "foliation": {"variant": "flat"},
+        "integration": {"s0": 0.0, "s1": 0.5, "step": 0.1,
+                        "initial_positions": [[[0.0, 0.0, 0.0],
+                                               [1.0, 0.0, 0.0]]]},
+        "ensemble": {"size": 10, "seed": 1,
+                     "boxes": [[[-4.0, 4.0]] * 3] * 2},
+    }
+    path = tmp_path / "d31_pair.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "equilibrium"):
+        capsys.readouterr()
+        assert main([command, "--scenario", str(path),
+                     "--out", str(tmp_path / command)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "ensemble"
+        assert "quadrature_order" in error["message"]
+
+
+def test_simulate_uses_no_leaf_density(tmp_path, monkeypatch):
+    # the node threshold comes from the listed configurations, so neither
+    # the sampling box nor a density scan can change what simulate writes
+    def refuse(self):
+        raise AssertionError("simulate must not scan a leaf density")
+
+    monkeypatch.setattr(LeafDensity, "scan", refuse)
+    raw = json.loads(bundled_scenario_path("curved_n2_entangled").read_text())
+    run_simulate(parse_scenario(raw), tmp_path / "with")
+    del raw["ensemble"]
+    run_simulate(parse_scenario(raw), tmp_path / "without")
+    for name in ("trajectories.csv", "events.csv"):
+        with_lines = (tmp_path / "with" / name).read_bytes().splitlines()
+        without_lines = (tmp_path / "without" / name).read_bytes().splitlines()
+        # the headers differ only in the content hash and the seed
+        assert with_lines[1:] == without_lines[1:]
 
 
 def negcontrol_scenario_dict():
