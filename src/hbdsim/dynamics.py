@@ -8,9 +8,13 @@ Sigma_s, and it advances by
 
 with j_k the guiding current evaluated at the configuration and df the
 (contravariant) gradient of the generating function. The integrator is
-classical fixed-step RK4; after each step every particle is pulled back
-onto the target leaf by a single Newton correction along its own current,
-which removes secular label drift without touching the order of the method.
+classical fixed-step RK4 with a projection onto the target leaf: after the
+four stages every particle takes a single Newton step along its fourth-stage
+current, which removes secular label drift without touching the order of
+the method. The velocity field is then evaluated at the accepted point; that
+evaluation checks the stored configuration for nodes and gradient validity
+and is the next step's first stage (first same as last), so a step costs
+four psi evaluations.
 
 The flat-frame law dQ_k/dt = psi^dag alpha_k psi / psi^dag psi is kept as a
 separately coded oracle integrator; with a FlatTime foliation the two must
@@ -170,7 +174,18 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
     events = []
 
     active = np.arange(batch)
+    bad_node = np.zeros(batch, dtype=bool)
+    bad_grad = np.zeros(batch, dtype=bool)
+
+    def stage(x):
+        v, rho, j, _, ok = _flow(psi, foliation, x)
+        nonlocal bad_node, bad_grad
+        bad_grad |= ~ok
+        bad_node |= ok & ~(rho > node_threshold)
+        return v, j
+
     y = pts0.copy()
+    k1, _ = stage(y)
     for i in range(n_steps):
         if active.size == 0:
             break
@@ -178,26 +193,19 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
         s_next = float(s_grid[i + 1])
         h = s_next - s_here
 
-        bad_node = np.zeros(len(active), dtype=bool)
-        bad_grad = np.zeros(len(active), dtype=bool)
-
-        def stage(x):
-            v, rho, j, denom, ok = _flow(psi, foliation, x)
-            nonlocal bad_node, bad_grad
-            bad_grad |= ~ok
-            bad_node |= ok & ~(rho > node_threshold)
-            return v, j, denom
-
-        k1, _, _ = stage(y)
-        k2, _, _ = stage(y + (0.5 * h) * k1)
-        k3, _, _ = stage(y + (0.5 * h) * k2)
-        k4, _, _ = stage(y + h * k3)
+        k2, _ = stage(y + (0.5 * h) * k1)
+        k3, _ = stage(y + (0.5 * h) * k2)
+        k4, j4 = stage(y + h * k3)
         y_end = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        # one Newton correction along j_k restores f(X_k) = s exactly enough
-        _, j_end, denom_end = stage(y_end)
-        lam = (s_next - foliation.label(y_end)) / denom_end
-        y_proj = y_end + lam[..., None] * j_end
+        # one Newton correction along the fourth stage's current j4
+        # restores f(X_k) = s exactly enough
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = ((s_next - foliation.label(y_end))
+                   / minkowski_dot(foliation.gradient(y_end), j4))
+        y_proj = y_end + lam[..., None] * j4
+        # the accepted point is checked, and its velocity is the next k1
+        k_next, _ = stage(y_proj)
 
         bad = bad_node | bad_grad
         nun_ok = ~bad
@@ -227,6 +235,9 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
 
         active = active[good]
         y = y_proj[good]
+        k1 = k_next[good]
+        bad_node = np.zeros(len(active), dtype=bool)
+        bad_grad = np.zeros(len(active), dtype=bool)
 
     # freeze halted trajectories at their last valid configuration
     for t in range(batch):

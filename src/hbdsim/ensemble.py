@@ -466,7 +466,9 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
     the joint chart coordinates (TV distance between empirical frequencies
     and quadrature bin masses, empirical mass falling outside the box
     counted against the match) and runs a one-sample KS test on every
-    1-d marginal against the quadrature CDF.
+    1-d marginal against the quadrature CDF. Frequencies are shares of the
+    whole ensemble, so the ``excluded`` trajectories, which halted before
+    the leaf, count as leaked mass.
     """
     if isinstance(samples, CrossingSet):
         excluded = samples.n_excluded
@@ -480,8 +482,10 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
 
     edges, predicted = density.bin_masses(bins_per_axis)
     counts, _ = np.histogramdd(u, bins=edges)
-    emp = counts / m_inc
-    leak = 1.0 - counts.sum() / m_inc
+    # halted trajectories count as mass that never reached the leaf
+    m_all = m_inc + excluded
+    emp = counts / m_all
+    leak = 1.0 - counts.sum() / m_all
     tv = 0.5 * (np.sum(np.abs(emp - predicted)) + leak)
 
     ks_stats = []
@@ -498,7 +502,7 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
     passed = bool(tv < tv_threshold
                   and all(k < ks_threshold for k in ks_stats))
     return EquivarianceReport(
-        ensemble_size=m_inc + excluded, included=m_inc, excluded=excluded,
+        ensemble_size=m_all, included=m_inc, excluded=excluded,
         bins_per_axis=int(bins_per_axis), tv_distance=float(tv),
         tv_threshold=float(tv_threshold), ks_stats=ks_stats,
         ks_threshold=float(ks_threshold), leak_mass=float(leak),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -216,6 +217,32 @@ def _parse_wavefunction(block, mass, mode, foliation, default_s):
     _fail("wavefunction", "wavefunction block must carry 'terms' or 'branches'")
 
 
+def _number(block, key, default, kind):
+    """A finite real field of ``block``; anything else fails as ``kind``."""
+    value = block.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        _fail(kind, f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(block, key, default, kind, minimum):
+    value = block.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _fail(kind, f"{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _grid_resolution(block, key, default, kind, minimum, dims):
+    """A per-axis grid resolution whose tensor grid has at most
+    ``MAX_QUADRATURE_NODES`` points in ``dims`` dimensions."""
+    value = _integer(block, key, default, kind, minimum)
+    if value ** dims > MAX_QUADRATURE_NODES:
+        _fail(kind, f"{key} {value} must have {key}**{dims} <= "
+                    f"{MAX_QUADRATURE_NODES}")
+    return value
+
+
 def _parse_boxes(raw_boxes, n_particles, sd, what):
     boxes = np.asarray(raw_boxes, dtype=float)
     if boxes.shape != (n_particles, sd, 2):
@@ -242,7 +269,8 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
         _fail("validation", "mass must be a nonnegative number")
 
     foliation = _parse_foliation(raw.get("foliation"), mode.spatial_dims)
-    scan_res = raw.get("foliation", {}).get("scan_resolution", 201)
+    scan_res = _grid_resolution(raw["foliation"], "scan_resolution", 201,
+                                "foliation", 2, mode.spatial_dims)
     report = foliation.validity_scan(scan_res)
     if not report.passed:
         _fail("validity_breach",
@@ -252,12 +280,14 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
     integ_raw = raw.get("integration")
     if not isinstance(integ_raw, dict):
         _fail("integration", "integration block missing")
-    s0 = float(integ_raw.get("s0", 0.0))
-    s1 = integ_raw.get("s1")
-    step = integ_raw.get("step")
-    if s1 is None or step is None or not s1 > s0 or not step > 0:
+    s0 = _number(integ_raw, "s0", 0.0, "integration")
+    s1 = _number(integ_raw, "s1", None, "integration")
+    step = _number(integ_raw, "step", None, "integration")
+    if not s1 > s0 or not step > 0:
         _fail("integration", "need s1 > s0 and step > 0")
-    factor = float(integ_raw.get("node_threshold_factor", 1e-10))
+    factor = _number(integ_raw, "node_threshold_factor", 1e-10, "integration")
+    if factor < 0:
+        _fail("integration", "node_threshold_factor must be nonnegative")
 
     psi = _parse_wavefunction(raw.get("wavefunction"), float(mass), mode,
                               foliation, s0)
@@ -269,7 +299,7 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
     if init.ndim != 3 or init.shape[1:] != (psi.n_particles, sd):
         _fail("integration",
               f"initial_positions must have shape (n, N={psi.n_particles}, {sd})")
-    integration = IntegrationBlock(s0=s0, s1=float(s1), step=float(step),
+    integration = IntegrationBlock(s0=s0, s1=s1, step=step,
                                    node_threshold_factor=factor,
                                    initial_positions=init)
 
@@ -291,19 +321,22 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
         # default bin count per axis ~ M^(1/(2 + joint dims))
         joint_dims = psi.n_particles * sd
         default_bins = max(4, round(size ** (1.0 / (2 + joint_dims))))
-        order = ens_raw.get("quadrature_order", 64)
-        if (not isinstance(order, int) or order < 1
-                or order ** joint_dims > MAX_QUADRATURE_NODES):
-            _fail("ensemble",
-                  f"quadrature_order {order!r} must be an integer >= 1 "
-                  f"with order**{joint_dims} <= {MAX_QUADRATURE_NODES}")
+        scan_res = ens_raw.get("scan_resolution")
+        if scan_res is not None:
+            _grid_resolution(ens_raw, "scan_resolution", None, "ensemble", 2,
+                             joint_dims)
+        tv_threshold = _number(ens_raw, "tv_threshold", 0.05, "ensemble")
+        ks_coefficient = _number(ens_raw, "ks_coefficient", 1.63, "ensemble")
+        if not tv_threshold > 0 or not ks_coefficient > 0:
+            _fail("ensemble", "tv_threshold and ks_coefficient must be positive")
         ensemble = EnsembleBlock(
             size=size, seed=seed, boxes=boxes, target_boxes=target_boxes,
-            bins_per_axis=int(ens_raw.get("bins_per_axis", default_bins)),
-            quadrature_order=order,
-            tv_threshold=float(ens_raw.get("tv_threshold", 0.05)),
-            ks_coefficient=float(ens_raw.get("ks_coefficient", 1.63)),
-            scan_resolution=ens_raw.get("scan_resolution"))
+            bins_per_axis=_integer(ens_raw, "bins_per_axis", default_bins,
+                                   "ensemble", 1),
+            quadrature_order=_grid_resolution(ens_raw, "quadrature_order", 64,
+                                              "ensemble", 1, joint_dims),
+            tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
+            scan_resolution=scan_res)
 
     return Scenario(name=raw.get("name", name), mode=mode, mass=float(mass),
                     psi=psi, foliation=foliation, integration=integration,

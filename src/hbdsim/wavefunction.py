@@ -30,6 +30,8 @@ __all__ = [
     "dirac_residual",
 ]
 
+BLOCK_ROWS = 4096      # rows per evaluation block; bounds the phase tables
+
 
 @dataclass(frozen=True)
 class PlaneWaveMode:
@@ -147,12 +149,18 @@ class NParticleWavefunction:
         self.n_particles = n_particles
         self.terms = tuple(terms)
         self.dim = self.mode.spin_space_dim(self.n_particles)
-        # per branch: coefficient and, per factor, its (weight, mode) list
-        # with the four-momentum table of its modes
+        # per slot: the distinct four-momenta of all its factors, compared
+        # bitwise; per branch: coefficient and, per factor, its (weight,
+        # mode) list with each mode's column in its slot's table
+        columns = [{} for _ in range(n_particles)]
         self._branches = [
-            (c, [(factor, np.array([md.four_momentum for _, md in factor]))
-                 for factor in factors])
+            (c, [(factor, [columns[k].setdefault(md.four_momentum.tobytes(),
+                                                 len(columns[k]))
+                           for _, md in factor])
+                 for k, factor in enumerate(factors)])
             for c, factors in branches]
+        self._slot_p4s = [np.array([np.frombuffer(key) for key in cols])
+                          for cols in columns]
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -190,27 +198,39 @@ class NParticleWavefunction:
         """Values of psi at a batch of point tuples, shape (..., N, 4) -> (..., D).
 
         Each branch is the Kronecker product of its per-particle factor
-        values, each factor a weighted sum of plane waves.
+        values, each factor a weighted sum of plane waves. Rows are
+        evaluated in blocks of ``BLOCK_ROWS``; every operation is row-wise,
+        so the values do not depend on the batch shape.
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
             raise ValueError(f"points must have shape (..., {self.n_particles}, 4)")
-        lead = x.shape[:-2]
+        rows = x.reshape((-1, self.n_particles, 4))
+        out = np.empty((rows.shape[0], self.dim), dtype=complex)
+        for lo in range(0, rows.shape[0], BLOCK_ROWS):
+            out[lo:lo + BLOCK_ROWS] = self._evaluate_rows(
+                rows[lo:lo + BLOCK_ROWS])
+        return out.reshape(x.shape[:-2] + (self.dim,))
+
+    def _evaluate_rows(self, x):
+        # one block (rows, N, 4): each distinct phase of a slot once
+        rows = x.shape[0]
         d = self.mode.spinor_dim
-        out = np.zeros(lead + (self.dim,), dtype=complex)
+        phases = [self._slot_phases(x[:, k, :], p4s)
+                  for k, p4s in enumerate(self._slot_p4s)]
+        out = np.zeros((rows, self.dim), dtype=complex)
         for c_br, factors in self._branches:
             val = None
-            for k, (factor, p4s) in enumerate(factors):
-                ph = self._slot_phases(x[..., k, :], p4s)
-                fk = np.zeros(lead + (d,), dtype=complex)
-                for a, (w_a, md) in enumerate(factor):
-                    fk += (w_a * ph[..., a])[..., None] * md.w
+            for k, (factor, cols) in enumerate(factors):
+                ph = phases[k]
+                fk = np.zeros((rows, d), dtype=complex)
+                for (w_a, md), col in zip(factor, cols):
+                    fk += (w_a * ph[:, col])[:, None] * md.w
                 if val is None:
                     val = fk
                 else:
-                    dim_so_far = val.shape[-1]
-                    val = (val[..., :, None] * fk[..., None, :]).reshape(
-                        lead + (dim_so_far * d,))
+                    val = (val[:, :, None] * fk[:, None, :]).reshape(
+                        rows, val.shape[-1] * d)
             out += c_br * val
         return out
 

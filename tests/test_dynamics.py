@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hbdsim import dynamics
 from hbdsim.checks import flat_reduction_deviation
 from hbdsim.currents import current_jk
 from hbdsim.dynamics import (
@@ -236,6 +237,53 @@ def test_ensemble_batch_and_worker_invariance():
     # single-trajectory runs reproduce their ensemble rows bitwise
     one = integrate(psi, fol, NConfiguration(0.0, pts0[5]), 1.0, 0.05)
     assert np.array_equal(one.points, a.points[5])
+
+
+def _curved_starts(fol, m, seed):
+    xi = np.random.default_rng(seed).uniform(-1, 1, size=(m, 2, 1))
+    return np.stack([fol.leaf_point(0.0, xi[:, k]) for k in range(2)], axis=1)
+
+
+def test_four_psi_evaluations_per_step(monkeypatch):
+    # FSAL: the evaluation at the accepted point opens the next step
+    psi = entangled_psi(seed=23)
+    fol = curved()
+    pts0 = _curved_starts(fol, 12, 2)
+    rows = []
+    evaluate = psi.evaluate_batch
+
+    def counting(points):
+        rows.append(int(np.prod(np.shape(points)[:-2])))
+        return evaluate(points)
+
+    monkeypatch.setattr(psi, "evaluate_batch", counting)
+    ens = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05)
+    n_steps = len(ens.s_grid) - 1
+    assert np.all(ens.valid_steps == n_steps)
+    assert sum(rows) == 12 * (4 * n_steps + 1)
+
+
+def test_every_stored_point_is_evaluated(monkeypatch):
+    # each accepted configuration, the last one included, passes through the
+    # stage function, so its node and gradient checks have run
+    psi = entangled_psi(seed=23)
+    fol = curved()
+    seen = set()
+    flow = dynamics._flow
+
+    def recording(psi_, fol_, x):
+        seen.update(row.tobytes() for row in np.reshape(x, (-1, 2, 4)))
+        return flow(psi_, fol_, x)
+
+    monkeypatch.setattr(dynamics, "_flow", recording)
+    ens = integrate_ensemble(psi, fol, _curved_starts(fol, 9, 4), 0.0, 1.0,
+                             0.05)
+    n_steps = len(ens.s_grid) - 1
+    assert np.all(ens.valid_steps == n_steps)
+    missing = [(t, i) for t in range(ens.n_trajectories)
+               for i in range(n_steps + 1)
+               if ens.points[t, i].tobytes() not in seen]
+    assert missing == []
 
 
 def test_bd_velocity_examples():

@@ -251,6 +251,26 @@ def test_report_bookkeeping():
     assert set(d) >= {"tv_distance", "ks_stats", "passed", "leak_mass"}
 
 
+def test_excluded_trajectories_count_against_tv():
+    # halted trajectories are mass that never reached the leaf: TV rises by
+    # at most their share, and never stays below it
+    dens = LeafDensity(FlatTime(1), 0.0, rest_psi(), [[[-2.0, 2.0]]], 32)
+    chart = sample_leaf(dens, 500, seed=31).chart
+    rep0 = equivariance_test(chart, dens, bins_per_axis=8)
+    assert rep0.leak_mass == 0.0
+    for excluded in (10, 100):
+        share = excluded / (500 + excluded)
+        rep = equivariance_test(chart, dens, bins_per_axis=8,
+                                excluded=excluded)
+        assert rep.ensemble_size == 500 + excluded
+        assert abs(rep.leak_mass - share) < 1e-15
+        assert max(rep0.tv_distance, share) <= rep.tv_distance + 1e-15
+        assert rep.tv_distance <= rep0.tv_distance + share + 1e-15
+    # every bin now holds less than its predicted mass, so TV is the share
+    assert np.all(rep.counts / 600 < rep.predicted_masses)
+    assert abs(rep.tv_distance - 100 / 600) < 1e-15
+
+
 def test_total_flux_leaf_independent():
     # breathing symmetric packet: a fixed wide box captures all mass on
     # every leaf, so the quadrature normalization is label-independent

@@ -90,6 +90,25 @@ def test_hash_tracks_content():
     (lambda r: r["ensemble"].update(quadrature_order="high"), "ensemble"),
     (lambda r: r["ensemble"].update(quadrature_order=MAX_QUADRATURE_NODES + 1),
      "ensemble"),
+    (lambda r: r["ensemble"].update(bins_per_axis="x"), "ensemble"),
+    (lambda r: r["ensemble"].update(bins_per_axis=0), "ensemble"),
+    (lambda r: r["ensemble"].update(tv_threshold="low"), "ensemble"),
+    (lambda r: r["ensemble"].update(ks_coefficient=None), "ensemble"),
+    (lambda r: r["ensemble"].update(scan_resolution=1), "ensemble"),
+    (lambda r: r["ensemble"].update(scan_resolution=64.0), "ensemble"),
+    (lambda r: r["ensemble"].update(scan_resolution=MAX_QUADRATURE_NODES + 1),
+     "ensemble"),
+    (lambda r: r["foliation"].update(scan_resolution=1), "foliation"),
+    (lambda r: r["foliation"].update(scan_resolution="fine"), "foliation"),
+    (lambda r: r["foliation"].update(scan_resolution=MAX_QUADRATURE_NODES + 1),
+     "foliation"),
+    (lambda r: r["integration"].update(s0="zero"), "integration"),
+    (lambda r: r["integration"].update(s1="late"), "integration"),
+    (lambda r: r["integration"].update(step=[0.05]), "integration"),
+    (lambda r: r["integration"].update(node_threshold_factor="tiny"),
+     "integration"),
+    (lambda r: r["integration"].update(node_threshold_factor=-1.0),
+     "integration"),
 ])
 def test_validation_error_kinds(mutate, kind):
     raw = small_scenario_dict()
@@ -192,6 +211,73 @@ def test_cli_rejects_oversized_quadrature_grid(tmp_path, capsys):
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "ensemble"
         assert "quadrature_order" in error["message"]
+
+
+@pytest.mark.parametrize("block, key, value, kind", [
+    ("ensemble", "bins_per_axis", "x", "ensemble"),
+    ("integration", "s1", "late", "integration"),
+    ("ensemble", "scan_resolution", MAX_QUADRATURE_NODES + 1, "ensemble"),
+])
+def test_cli_rejects_malformed_numeric_field(tmp_path, capsys, block, key,
+                                             value, kind):
+    # a malformed field exits 2 with its block's kind before any run starts
+    raw = small_scenario_dict()
+    raw[block][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "equilibrium"):
+        capsys.readouterr()
+        assert main([command, "--scenario", str(path),
+                     "--out", str(tmp_path / command)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == kind
+        assert key in error["message"]
+
+
+def test_cli_rejects_oversized_scan_grids(tmp_path, capsys):
+    # in 3+1 mode a 400-point validity scan has 400**3 points, and a 20-point
+    # ensemble scan of a particle pair 20**6: both over the cap
+    raw = {
+        "schema_version": 1, "name": "test_d31_scans", "mode": "D31",
+        "mass": 1.0,
+        "wavefunction": {"terms": [
+            {"coefficient": [1.0, 0.0],
+             "modes": [{"p": [0.3, 0.0, 0.1]}, {"p": [-0.2, 0.1, 0.0]}]}]},
+        "foliation": {"variant": "flat",
+                      "validity_box": [[-4.0, 4.0]] * 3},
+        "integration": {"s0": 0.0, "s1": 0.5, "step": 0.1,
+                        "initial_positions": [[[0.0, 0.0, 0.0],
+                                               [1.0, 0.0, 0.0]]]},
+        "ensemble": {"size": 10, "seed": 1, "quadrature_order": 8,
+                     "boxes": [[[-4.0, 4.0]] * 3] * 2},
+    }
+    assert 400 ** 3 > MAX_QUADRATURE_NODES and 20 ** 6 > MAX_QUADRATURE_NODES
+    for block, kind in (("foliation", "foliation"), ("ensemble", "ensemble")):
+        bad = copy.deepcopy(raw)
+        bad[block]["scan_resolution"] = 400 if block == "foliation" else 20
+        path = tmp_path / f"{block}.json"
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["equilibrium", "--scenario", str(path),
+                     "--out", str(tmp_path / block)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == kind
+        assert "scan_resolution" in error["message"]
+
+
+def test_node_halts_are_counted_in_report(tmp_path):
+    # a node threshold above rho over part of the sampled leaf halts those
+    # trajectories; the report counts them, and they raise TV
+    raw = small_scenario_dict(size=120)
+    raw["integration"]["node_threshold_factor"] = 0.3
+    payload = run_equilibrium(parse_scenario(raw), tmp_path)
+    report = payload["report"]
+    assert report["excluded"] > 0
+    assert report["included"] + report["excluded"] == 120
+    assert report["ensemble_size"] == 120
+    assert report["tv_distance"] >= report["excluded"] / 120
+    _, cols = read_csv_table(tmp_path / "crossings.csv")
+    assert len(cols["trajectory"]) == report["included"]
 
 
 def test_simulate_uses_no_leaf_density(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot, slash
+from hbdsim.scenario import bundled_scenario_path, load_scenario
 from hbdsim.wavefunction import (
+    BLOCK_ROWS,
     NParticleWavefunction,
     dirac_residual,
     make_mode,
@@ -206,3 +208,40 @@ def test_evaluate_batch_shape_checks():
         psi.evaluate_batch(np.zeros((3, 2, 4)))
     with pytest.raises(ValueError):
         psi.evaluate(np.zeros((2, 4)))
+
+
+def test_slot_phases_once_per_distinct_momentum(monkeypatch):
+    # the headline state's branches share momenta: 21 + 17 factor modes per
+    # slot, 31 of them distinct
+    psi = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    seen = []
+    slot_phases = psi._slot_phases
+
+    def recording(x, p4s):
+        seen.append(p4s.shape[0])
+        return slot_phases(x, p4s)
+
+    monkeypatch.setattr(psi, "_slot_phases", recording)
+    psi.evaluate_batch(np.random.default_rng(3).normal(size=(50, 2, 4)))
+    assert seen == [31, 31]
+
+
+def test_blocked_evaluation_is_row_independent():
+    # 5000 rows span two evaluation blocks; a batch, single rows and an
+    # unaligned split must give the same bits
+    ma = make_mode([0.7], 1.0, 1, 1, D11)
+    mb = make_mode([-0.5], 1.0, -1, 1, D11)
+    mc = make_mode([0.2], 1.0, 1, 1, D11)
+    psi = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, ma), (0.4j, mb)], [(0.5, mb), (0.3, mc)]]),
+         (0.3 - 0.2j, [[(1.0, mc)], [(0.7, ma), (1.0, mb)]])])
+    x = np.random.default_rng(11).normal(0.0, 4.0, size=(5000, 2, 4))
+    assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS
+    whole = psi.evaluate_batch(x)
+    split = np.concatenate([psi.evaluate_batch(x[:4097]),
+                            psi.evaluate_batch(x[4097:])])
+    single = np.stack([psi.evaluate_batch(row) for row in x])
+    assert np.array_equal(whole, split)
+    assert np.array_equal(whole, single)
+    assert np.array_equal(psi.evaluate_batch(x.reshape(50, 100, 2, 4)),
+                          whole.reshape(50, 100, -1))
