@@ -98,10 +98,13 @@ def test_hash_tracks_content():
     (lambda r: r["ensemble"].update(scan_resolution=64.0), "ensemble"),
     (lambda r: r["ensemble"].update(scan_resolution=MAX_QUADRATURE_NODES + 1),
      "ensemble"),
-    (lambda r: r["foliation"].update(scan_resolution=1), "foliation"),
-    (lambda r: r["foliation"].update(scan_resolution="fine"), "foliation"),
-    (lambda r: r["foliation"].update(scan_resolution=MAX_QUADRATURE_NODES + 1),
-     "foliation"),
+    pytest.param(lambda r: r["foliation"].update(scan_resolution=1),
+                 "foliation", id="foliation-scan_resolution-too-small"),
+    pytest.param(lambda r: r["foliation"].update(scan_resolution="fine"),
+                 "foliation", id="foliation-scan_resolution-not-a-number"),
+    pytest.param(lambda r: r["foliation"].update(
+        scan_resolution=MAX_QUADRATURE_NODES + 1),
+                 "foliation", id="foliation-scan_resolution-over-cap"),
     (lambda r: r["integration"].update(s0="zero"), "integration"),
     (lambda r: r["integration"].update(s1="late"), "integration"),
     (lambda r: r["integration"].update(step=[0.05]), "integration"),
