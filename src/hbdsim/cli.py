@@ -7,7 +7,8 @@ scenario content hash and the master seed:
                    write trajectories.csv and events.csv;
 * ``equilibrium``  sample the initial leaf, propagate the ensemble, test
                    crossing statistics on the target leaf, write
-                   report.json, histogram.json and crossings.csv;
+                   report.json, histogram.json, crossings.csv and
+                   events.csv;
 * ``checks``       run the invariant suites, write checks.json.
 
 Exit codes: 0 success, 1 a check or the equivariance test failed,
@@ -150,6 +151,8 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
     })
     write_crossings_csv(outdir / "crossings.csv", cross,
                         scenario.content_hash, seed)
+    write_events_csv(outdir / "events.csv", ens.events, scenario.content_hash,
+                     seed)
     return payload
 
 

@@ -48,27 +48,36 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _gauss_legendre_axes(boxes, order):
+    # per-axis Gauss-Legendre nodes and weights over a list of intervals
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    axes_nodes = []
+    axes_weights = []
+    for lo, hi in np.asarray(boxes, dtype=float):
+        half = 0.5 * (hi - lo)
+        axes_nodes.append(lo + half * (base_x + 1.0))
+        axes_weights.append(half * base_w)
+    return axes_nodes, axes_weights
+
+
+def _outer_product(factors):
+    # 1 * f_0 * f_1 * ... on the tensor grid of the 1-D factors, in order
+    out = np.ones(tuple(len(f) for f in factors))
+    for a, f in enumerate(factors):
+        out = out * f.reshape((-1,) + (1,) * (len(factors) - 1 - a))
+    return out
+
+
 def gauss_legendre_grid(boxes, order):
     """Tensor-product Gauss-Legendre nodes/weights over a list of intervals.
 
     ``boxes`` has shape (dims, 2); returns nodes (order**dims, dims) and the
     matching product weights.
     """
-    boxes = np.asarray(boxes, dtype=float)
-    axes_nodes = []
-    axes_weights = []
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    for lo, hi in boxes:
-        half = 0.5 * (hi - lo)
-        axes_nodes.append(lo + half * (base_x + 1.0))
-        axes_weights.append(half * base_w)
+    axes_nodes, axes_weights = _gauss_legendre_axes(boxes, order)
     mesh = np.meshgrid(*axes_nodes, indexing="ij")
     nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*axes_weights, indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for w in wmesh:
-        weights = weights * w.ravel()
-    return nodes, weights
+    return nodes, _outer_product(axes_weights).ravel()
 
 
 def _auto_resolution(dims):
@@ -84,6 +93,13 @@ class LeafDensity:
     With ``flat_normals=True`` the leaf normals are replaced by (1,0,0,0),
     which detunes the density: that variant exists purely as the negative
     control of the equivariance test.
+
+    Scans and quadratures run on tensor grids of per-axis nodes: each
+    particle's leaf points, normals and area elements are computed on its
+    own axes, and psi takes the particles' points as an outer product, so
+    each factor is evaluated once per own point rather than once per joint
+    grid point. ``weight`` evaluates one row per configuration (random
+    proposals).
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -129,8 +145,8 @@ class LeafDensity:
             return n
         return self.foliation.normal(pts)
 
-    def _rho_area(self, xi):
-        # rho and the product of the particles' area elements at chart tuples
+    def weight(self, xi):
+        """Unnormalized sampling weight at chart tuples (..., N, sd)."""
         xi = np.asarray(xi, dtype=float)
         pts = self.points(xi)
         vals = self.psi.evaluate_batch(pts)
@@ -139,15 +155,36 @@ class LeafDensity:
         area = np.ones(xi.shape[:-2])
         for k in range(self.psi.n_particles):
             area = area * self.foliation.area_element(self.s, xi[..., k, :])
-        return rho, area
-
-    def weight(self, xi):
-        """Unnormalized sampling weight at chart tuples (..., N, sd)."""
-        rho, area = self._rho_area(xi)
         return rho * area
 
     def weight_flat(self, u):
         return self.weight(self.chart_tuples(u))
+
+    def _grid_rho_area(self, axes):
+        # rho and the product of the area elements on the tensor grid of
+        # the per-axis 1-D nodes ``axes``, shape (len(axes[0]), ...). Each
+        # particle's leaf points, normals and area elements are computed on
+        # its own axes only; psi takes them as an outer product over the
+        # particles, so each factor is evaluated once per own point.
+        n = self.psi.n_particles
+        sd = self.foliation.spatial_dims
+        slot_points, normals, areas = [], [], []
+        for k in range(n):
+            mesh = np.meshgrid(*axes[k * sd:(k + 1) * sd], indexing="ij")
+            xi = np.stack([m.ravel() for m in mesh], axis=-1)
+            pts = self.foliation.leaf_point(self.s, xi)
+            slot_points.append(
+                pts.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k) + (4,)))
+            normals.append(self._normals(pts))
+            areas.append(self.foliation.area_element(self.s, xi))
+        vals = self.psi.evaluate_slots(slot_points)
+        grid_normals = np.empty(vals.shape[:-1] + (n, 4))
+        for k in range(n):
+            grid_normals[..., k, :] = normals[k].reshape(
+                slot_points[k].shape)
+        rho = density_batch(vals, grid_normals, n, self.psi.mode)
+        shape = tuple(len(a) for a in axes)
+        return rho.reshape(shape), _outer_product(areas).reshape(shape)
 
     # -- scans and integrals -------------------------------------------------
     def _scan_axes(self, resolution):
@@ -157,15 +194,13 @@ class LeafDensity:
         """Grid maxima of the weight and of rho over the box (cached)."""
         if self._scan is None:
             axes = self._scan_axes(self.scan_resolution)
-            mesh = np.meshgrid(*axes, indexing="ij")
-            u = np.stack([m.ravel() for m in mesh], axis=-1)
-            rho, area = self._rho_area(self.chart_tuples(u))
+            rho, area = self._grid_rho_area(axes)
             w = rho * area
-            imax = int(np.argmax(w))
+            imax = np.unravel_index(np.argmax(w), w.shape)
             self._scan = {
                 "max_weight": float(w[imax]),
                 "max_rho": float(np.max(rho)),
-                "argmax": u[imax].copy(),
+                "argmax": np.array([a[i] for a, i in zip(axes, imax)]),
             }
         return self._scan
 
@@ -180,18 +215,26 @@ class LeafDensity:
     def max_rho(self):
         return self.scan()["max_rho"]
 
+    def _quadrature(self):
+        # Gauss-Legendre nodes per axis and weight * quadrature weight on
+        # their tensor grid, flattened in C order
+        axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
+        rho, area = self._grid_rho_area(axes)
+        return axes, (rho * area * _outer_product(weights)).ravel()
+
     def normalization(self):
         """Z = integral of the weight over the box (Gauss-Legendre, cached)."""
         if self._z is None:
-            nodes, wq = gauss_legendre_grid(self.axis_boxes, self.quad_order)
-            self._z = float(np.sum(self.weight_flat(nodes) * wq))
+            self._z = float(np.sum(self._quadrature()[1]))
         return self._z
 
     def quadrature_mean(self, axis):
         """Mean of one joint-chart coordinate under the normalized density."""
-        nodes, wq = gauss_legendre_grid(self.axis_boxes, self.quad_order)
-        w = self.weight_flat(nodes) * wq
-        return float(np.sum(w * nodes[:, axis]) / np.sum(w))
+        axes, w = self._quadrature()
+        shape = (1,) * axis + (-1,) + (1,) * (self.dims - 1 - axis)
+        coord = np.broadcast_to(axes[axis].reshape(shape),
+                                tuple(len(a) for a in axes)).ravel()
+        return float(np.sum(w * coord) / np.sum(w))
 
     def bin_masses(self, bins_per_axis, per_bin_order=8):
         """Normalized predicted masses on a regular joint binning.
@@ -210,9 +253,8 @@ class LeafDensity:
             nodes = mid[:, None] + half[:, None] * base_x[None, :]
             axes_nodes.append(nodes.ravel())
             axes_weights.append(half[:, None] * base_w[None, :])
-        mesh = np.meshgrid(*axes_nodes, indexing="ij")
-        u = np.stack([m.ravel() for m in mesh], axis=-1)
-        w = self.weight_flat(u).reshape(
+        rho, area = self._grid_rho_area(axes_nodes)
+        w = (rho * area).reshape(
             tuple(s for _ in range(self.dims) for s in (bins, per_bin_order)))
         for a in range(self.dims):
             shape = [1] * w.ndim
@@ -229,16 +271,15 @@ class LeafDensity:
         cross_order = cross_order or self.quad_order
         lo, hi = self.axis_boxes[axis]
         grid = np.linspace(lo, hi, resolution)
-        other = [a for a in range(self.dims) if a != axis]
-        if other:
-            nodes, wq = gauss_legendre_grid(self.axis_boxes[other], cross_order)
-            u = np.empty((resolution, nodes.shape[0], self.dims))
-            u[..., axis] = grid[:, None]
-            for j, a in enumerate(other):
-                u[..., a] = nodes[:, j]
-            pdf = np.sum(self.weight_flat(u) * wq, axis=-1)
-        else:
-            pdf = self.weight_flat(grid[:, None])
+        axes, weights = _gauss_legendre_axes(self.axis_boxes, cross_order)
+        axes[axis] = grid
+        del weights[axis]
+        rho, area = self._grid_rho_area(axes)
+        # the marginal axis first and the others in order, C-contiguous, so
+        # that each row sums over the cross nodes in quadrature order
+        w = np.ascontiguousarray(np.moveaxis(rho * area, axis, 0))
+        pdf = np.sum(w.reshape(resolution, -1)
+                     * _outer_product(weights).ravel(), axis=-1)
         dx = grid[1] - grid[0]
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])

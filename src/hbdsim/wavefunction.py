@@ -5,6 +5,18 @@ modes. Each mode is an exact solution of the free one-particle Dirac
 equation, so the superposition solves all N multi-time equations exactly and
 can be evaluated at arbitrary spacetime point tuples - mixed coordinate
 times included - without any PDE grid.
+
+Evaluation runs in two stages. The factor stage takes each particle slot
+on its own: it computes each distinct plane-wave phase of the slot once
+per point, forms the weighted spinor terms of all the slot's factor modes
+in one vectorised step, and sums each factor's terms mode after mode (no
+BLAS). The combine stage takes Kronecker products of the factor values
+over the slots and sums the branches. The slots' point arrays
+broadcast against each other, so the same kernel serves row batches (one
+point tuple per row) and tensor grids given as per-particle point sets,
+where each factor is evaluated on its own particle's points only. Every
+operation is elementwise or a sum in a fixed order, so values do not
+depend on batch shape or grid layout.
 """
 
 from __future__ import annotations
@@ -30,7 +42,8 @@ __all__ = [
     "dirac_residual",
 ]
 
-BLOCK_ROWS = 4096      # rows per evaluation block; bounds the phase tables
+BLOCK_ROWS = 4096      # rows per evaluation block; bounds the output block
+CHUNK_TERMS = 16384    # mode x component terms per factor-stage chunk
 
 
 @dataclass(frozen=True)
@@ -150,17 +163,33 @@ class NParticleWavefunction:
         self.terms = tuple(terms)
         self.dim = self.mode.spin_space_dim(self.n_particles)
         # per slot: the distinct four-momenta of all its factors, compared
-        # bitwise; per branch: coefficient and, per factor, its (weight,
-        # mode) list with each mode's column in its slot's table
-        columns = [{} for _ in range(n_particles)]
-        self._branches = [
-            (c, [(factor, [columns[k].setdefault(md.four_momentum.tobytes(),
-                                                 len(columns[k]))
-                           for _, md in factor])
-                 for k, factor in enumerate(factors)])
-            for c, factors in branches]
-        self._slot_p4s = [np.array([np.frombuffer(key) for key in cols])
-                          for cols in columns]
+        # bitwise, and the modes of its factors, branch after branch: each
+        # mode's column in that table, its weight (m, 1) and its spinor
+        # (m, d, 1), and each factor's range of modes
+        self._coeffs = [c for c, _ in branches]
+        d = self.mode.spinor_dim
+        self._slot_p4s = []
+        self._slot_tables = []
+        self._chunk_points = []
+        for k in range(n_particles):
+            slot_factors = [fs[k] for _, fs in branches]
+            modes = [wm for factor in slot_factors for wm in factor]
+            columns = {}
+            cols = np.array([columns.setdefault(md.four_momentum.tobytes(),
+                                                len(columns))
+                             for _, md in modes])
+            weights = np.array([w for w, _ in modes], dtype=complex)
+            spinors = np.array([md.w for _, md in modes])
+            ends = np.cumsum([len(f) for f in slot_factors]).tolist()
+            self._slot_p4s.append(np.array([np.frombuffer(key)
+                                            for key in columns]))
+            self._slot_tables.append((cols, weights[:, None],
+                                      spinors[:, :, None],
+                                      list(zip([0] + ends[:-1], ends))))
+            # points per factor-stage chunk: the slot's terms stay within
+            # CHUNK_TERMS, so the temporaries stay cache-sized (as one
+            # chunk of 1024 rows they cost more in page faults than in work)
+            self._chunk_points.append(max(1, CHUNK_TERMS // (len(modes) * d)))
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -197,10 +226,9 @@ class NParticleWavefunction:
     def evaluate_batch(self, points) -> np.ndarray:
         """Values of psi at a batch of point tuples, shape (..., N, 4) -> (..., D).
 
-        Each branch is the Kronecker product of its per-particle factor
-        values, each factor a weighted sum of plane waves. Rows are
-        evaluated in blocks of ``BLOCK_ROWS``; every operation is row-wise,
-        so the values do not depend on the batch shape.
+        Rows are evaluated in blocks of ``BLOCK_ROWS`` through
+        ``evaluate_slots``; every operation is row-wise, so the values do
+        not depend on the batch shape.
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
@@ -208,30 +236,62 @@ class NParticleWavefunction:
         rows = x.reshape((-1, self.n_particles, 4))
         out = np.empty((rows.shape[0], self.dim), dtype=complex)
         for lo in range(0, rows.shape[0], BLOCK_ROWS):
-            out[lo:lo + BLOCK_ROWS] = self._evaluate_rows(
-                rows[lo:lo + BLOCK_ROWS])
+            block = rows[lo:lo + BLOCK_ROWS]
+            out[lo:lo + BLOCK_ROWS] = self.evaluate_slots(
+                [block[:, k] for k in range(self.n_particles)])
         return out.reshape(x.shape[:-2] + (self.dim,))
 
-    def _evaluate_rows(self, x):
-        # one block (rows, N, 4): each distinct phase of a slot once
-        rows = x.shape[0]
+    def evaluate_slots(self, slot_points) -> np.ndarray:
+        """Values of psi from per-slot points, shape (..., D), C-contiguous.
+
+        ``slot_points[k]`` holds particle k's points, shape (..., 4); the N
+        leading shapes have the same number of axes and broadcast against
+        each other. The N columns of a row block give one value per row,
+        and per-particle point sets shaped as an outer product give psi on
+        the whole tensor grid. Each factor is evaluated on its own slot's
+        points only (``_slot_factors``); the branches are then Kronecker
+        products over the slots, summed.
+        """
+        xs = [np.asarray(x, dtype=float) for x in slot_points]
+        if len(xs) != self.n_particles or any(
+                x.shape[-1:] != (4,) or x.ndim != xs[0].ndim for x in xs):
+            raise ValueError(f"expected {self.n_particles} point arrays of "
+                             "shape (..., 4) with equally many axes")
         d = self.mode.spinor_dim
-        phases = [self._slot_phases(x[:, k, :], p4s)
-                  for k, p4s in enumerate(self._slot_p4s)]
-        out = np.zeros((rows, self.dim), dtype=complex)
-        for c_br, factors in self._branches:
-            val = None
-            for k, (factor, cols) in enumerate(factors):
-                ph = phases[k]
-                fk = np.zeros((rows, d), dtype=complex)
-                for (w_a, md), col in zip(factor, cols):
-                    fk += (w_a * ph[:, col])[:, None] * md.w
-                if val is None:
-                    val = fk
-                else:
-                    val = (val[:, :, None] * fk[:, None, :]).reshape(
-                        rows, val.shape[-1] * d)
-            out += c_br * val
+        factors = [self._slot_factors(k, x.reshape(-1, 4))
+                   for k, x in enumerate(xs)]
+        # component-major (D, ...); the branch sum starts from zero, which
+        # also gives every exactly zero component the sign +0.0
+        out = 0.0
+        for b, c_br in enumerate(self._coeffs):
+            val = factors[0][b].reshape((d,) + xs[0].shape[:-1])
+            for k in range(1, self.n_particles):
+                kron = val[:, None] * factors[k][b].reshape(
+                    (1, d) + xs[k].shape[:-1])
+                val = kron.reshape((-1,) + kron.shape[2:])
+            out = out + c_br * val
+        return out.transpose(*range(1, out.ndim), 0).copy()
+
+    def _slot_factors(self, k, x):
+        # per branch, slot k's factor values (d, P) at the points x (P, 4),
+        # chunk by chunk: each distinct phase once, the exponentials in
+        # (points, modes) order and then stored modes first, so that each
+        # factor is one sum over its range of modes
+        cols, weights, spinors, ranges = self._slot_tables[k]
+        step = self._chunk_points[k]
+        out = [np.empty((self.mode.spinor_dim, x.shape[0]), dtype=complex)
+               for _ in ranges]
+        for lo in range(0, x.shape[0], step):
+            ph = np.ascontiguousarray(self._slot_phases(
+                x[lo:lo + step], self._slot_p4s[k]).T)
+            terms = (weights * ph[cols])[:, None, :] * spinors
+            # the mode axis is outermost, so each sum runs mode after mode
+            # whatever the chunk size (no pairwise summation); it starts
+            # from the first term, not from zero, which can only change the
+            # sign of an exact zero, and the branch sum resets that
+            for f, (first, end) in zip(out, ranges):
+                np.add.reduce(terms[first:end], axis=0,
+                              out=f[:, lo:lo + step])
         return out
 
     def evaluate(self, points) -> MultiSpinor:

@@ -66,6 +66,9 @@ def test_leaf_density_uniform_normalization():
 
 
 def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
+    # the scan evaluates each particle's factors on that particle's own
+    # axis points only (N * res points, not res ** N rows) and derives both
+    # maxima from that one evaluation
     fol = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-40, 40]],
                     spatial_dims=1)
     ma = make_mode([0.7], 1.0, 1, 1, D11)
@@ -76,17 +79,17 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     res = 41
     dens = LeafDensity(fol, 0.0, psi, [[[-6.0, 5.0]], [[-5.0, 6.0]]], 16,
                        scan_resolution=res)
-    rows = []
-    evaluate = psi.evaluate_batch
+    points = []
+    slot_factors = psi._slot_factors
 
-    def counting(points):
-        rows.append(int(np.prod(np.shape(points)[:-2])))
-        return evaluate(points)
+    def counting(k, x):
+        points.append((k, x.shape[0]))
+        return slot_factors(k, x)
 
-    monkeypatch.setattr(psi, "evaluate_batch", counting)
+    monkeypatch.setattr(psi, "_slot_factors", counting)
     scan = dens.scan()
     monkeypatch.undo()
-    assert sum(rows) == res ** 2
+    assert sorted(points) == [(0, res), (1, res)]
 
     mesh = np.meshgrid(np.linspace(-6.0, 5.0, res), np.linspace(-5.0, 6.0, res),
                        indexing="ij")
@@ -95,6 +98,106 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     pts = dens.points(dens.chart_tuples(u))
     rho = density_batch(psi.evaluate_batch(pts), fol.normal(pts), 2, D11)
     assert scan["max_rho"] == np.max(rho)
+
+
+def _row_path_quantities(dens, bins, cdf_resolution):
+    # the grid consumers' formulas applied to explicit meshgrid rows
+    # through weight_flat, one psi evaluation per joint grid point
+    def rows(axes):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    u = rows(dens._scan_axes(dens.scan_resolution))
+    pts = dens.points(dens.chart_tuples(u))
+    normals = dens._normals(pts)
+    rho = density_batch(dens.psi.evaluate_batch(pts), normals,
+                        dens.psi.n_particles, dens.psi.mode)
+    w = dens.weight_flat(u)
+    out = {"max_weight": np.max(w), "max_rho": np.max(rho),
+           "argmax": u[np.argmax(w)]}
+
+    nodes, wq = gauss_legendre_grid(dens.axis_boxes, dens.quad_order)
+    wz = dens.weight_flat(nodes) * wq
+    out["z"] = float(np.sum(wz))
+    out["means"] = [float(np.sum(wz * nodes[:, a]) / np.sum(wz))
+                    for a in range(dens.dims)]
+
+    edges = [np.linspace(lo, hi, bins + 1) for lo, hi in dens.axis_boxes]
+    base_x, base_w = np.polynomial.legendre.leggauss(8)
+    axes_nodes, axes_weights = [], []
+    for e in edges:
+        half = 0.5 * np.diff(e)
+        mid = 0.5 * (e[:-1] + e[1:])
+        axes_nodes.append((mid[:, None] + half[:, None] * base_x).ravel())
+        axes_weights.append(half[:, None] * base_w)
+    wb = dens.weight_flat(rows(axes_nodes)).reshape((bins, 8) * dens.dims)
+    for a in range(dens.dims):
+        shape = [1] * wb.ndim
+        shape[2 * a], shape[2 * a + 1] = bins, 8
+        wb = wb * axes_weights[a].reshape(shape)
+    masses = wb.sum(axis=tuple(range(1, 2 * dens.dims, 2)))
+    out["masses"] = masses / masses.sum()
+
+    out["cdfs"] = []
+    for a in range(dens.dims):
+        lo, hi = dens.axis_boxes[a]
+        grid = np.linspace(lo, hi, cdf_resolution)
+        other = [b for b in range(dens.dims) if b != a]
+        if other:
+            cross, wc = gauss_legendre_grid(dens.axis_boxes[other],
+                                            dens.quad_order)
+            uc = np.empty((cdf_resolution, cross.shape[0], dens.dims))
+            uc[..., a] = grid[:, None]
+            for j, b in enumerate(other):
+                uc[..., b] = cross[:, j]
+            pdf = np.sum(dens.weight_flat(uc) * wc, axis=-1)
+        else:
+            pdf = dens.weight_flat(grid[:, None])
+        dx = grid[1] - grid[0]
+        cdf = np.concatenate(
+            [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
+        out["cdfs"].append(cdf / cdf[-1])
+    return out
+
+
+def _graph_n2(flat_normals):
+    fol = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-40, 40]],
+                    spatial_dims=1)
+    ma = make_mode([0.7], 1.0, 1, 1, D11)
+    mb = make_mode([-0.5], 1.0, 1, 1, D11)
+    mc = make_mode([0.1], 1.0, -1, 1, D11)
+    psi = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, ma), (0.4, mb), (0.2j, mc)], [(0.5j, mb), (0.3, ma)]]),
+         (0.3, [[(1.0, mb)], [(1.0, ma), (-0.6, mc)]])])
+    return LeafDensity(fol, 0.4, psi, [[[-6.0, 5.0]], [[-5.0, 6.0]]], 12,
+                       scan_resolution=33, flat_normals=flat_normals)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _graph_n2(False),
+    lambda: _graph_n2(True),
+    lambda: LeafDensity(GraphLeaf(TanhProfile(0.9, 0.7),
+                                  validity_box=[[-40, 40]], spatial_dims=1),
+                        0.3, packet_psi(FlatTime(1), center=-0.5),
+                        [[[-7.0, 6.0]]], 24, scan_resolution=301),
+], ids=["graph_n2", "graph_n2_flat_normals", "graph_n1"])
+def test_grid_consumers_equal_row_path_bitwise(build):
+    # the tensor-grid path (factors per particle axis, outer product over
+    # particles) gives the same bits as evaluating every joint grid point
+    dens = build()
+    bins, res = 4, 257
+    ref = _row_path_quantities(dens, bins, res)
+    scan = dens.scan()
+    assert scan["max_weight"] == ref["max_weight"]
+    assert scan["max_rho"] == ref["max_rho"]
+    assert np.array_equal(scan["argmax"], ref["argmax"])
+    assert dens.normalization() == ref["z"]
+    assert [dens.quadrature_mean(a) for a in range(dens.dims)] == ref["means"]
+    _, masses = dens.bin_masses(bins)
+    assert np.array_equal(masses, ref["masses"])
+    for a in range(dens.dims):
+        _, cdf = dens.marginal_cdf(a, resolution=res)
+        assert np.array_equal(cdf, ref["cdfs"][a])
 
 
 def test_sampling_uniform_ks():

@@ -281,6 +281,12 @@ def test_node_halts_are_counted_in_report(tmp_path):
     assert report["tv_distance"] >= report["excluded"] / 120
     _, cols = read_csv_table(tmp_path / "crossings.csv")
     assert len(cols["trajectory"]) == report["included"]
+    # events.csv says which trajectories halted, where and why
+    meta, events = read_csv_table(tmp_path / "events.csv")
+    assert meta["seed"] == str(payload["master_seed"])
+    assert len(events["trajectory"]) == report["excluded"]
+    assert set(events["trajectory"]).isdisjoint(cols["trajectory"])
+    assert set(events["kind"]) <= {"node_proximity", "validity_breach"}
 
 
 def test_simulate_uses_no_leaf_density(tmp_path, monkeypatch):

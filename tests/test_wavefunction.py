@@ -226,22 +226,56 @@ def test_slot_phases_once_per_distinct_momentum(monkeypatch):
     assert seen == [31, 31]
 
 
-def test_blocked_evaluation_is_row_independent():
-    # 5000 rows span two evaluation blocks; a batch, single rows and an
-    # unaligned split must give the same bits
+def _row_independence_states():
     ma = make_mode([0.7], 1.0, 1, 1, D11)
     mb = make_mode([-0.5], 1.0, -1, 1, D11)
     mc = make_mode([0.2], 1.0, 1, 1, D11)
-    psi = NParticleWavefunction.from_product_branches(
+    # a factor of 11 modes: summed over an inner mode axis, numpy's
+    # pairwise summation would change bits against the ordered sum
+    wide = [(np.exp(-0.1 * a) * (1.0 + 0.3j * a),
+             make_mode([0.15 * a - 0.6], 1.0, 1 if a % 3 else -1, 1, D11))
+            for a in range(11)]
+    d11 = NParticleWavefunction.from_product_branches(
         [(1.0, [[(1.0, ma), (0.4j, mb)], [(0.5, mb), (0.3, mc)]]),
-         (0.3 - 0.2j, [[(1.0, mc)], [(0.7, ma), (1.0, mb)]])])
+         (0.3 - 0.2j, [[(1.0, mc)], [(0.7, ma), (1.0, mb)]]),
+         (0.6j, [wide, [(1.0, ma)]])])
+    comb = [(0.9 ** (a + b) * (1.0 - 0.2j * a),
+             make_mode([0.3 * a - 0.3, 0.2 * b - 0.2, 0.1], 1.0,
+                       1 if (a + b) % 4 else -1, 1 + (a * b) % 2, D31))
+            for a in range(3) for b in range(3)]
+    d31 = NParticleWavefunction.from_product_branches(
+        [(1.0, [comb, comb[:2]]), (0.4 + 0.1j, [comb[3:5], comb])])
+    return d11, d31
+
+
+def test_blocked_evaluation_is_row_independent():
+    # 5000 rows span two evaluation blocks; batches of 1, 2 and 7 rows, an
+    # unaligned split and a 3-d batch must give the same bits
     x = np.random.default_rng(11).normal(0.0, 4.0, size=(5000, 2, 4))
     assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS
-    whole = psi.evaluate_batch(x)
-    split = np.concatenate([psi.evaluate_batch(x[:4097]),
-                            psi.evaluate_batch(x[4097:])])
-    single = np.stack([psi.evaluate_batch(row) for row in x])
-    assert np.array_equal(whole, split)
-    assert np.array_equal(whole, single)
-    assert np.array_equal(psi.evaluate_batch(x.reshape(50, 100, 2, 4)),
-                          whole.reshape(50, 100, -1))
+    for psi in _row_independence_states():
+        whole = psi.evaluate_batch(x)
+        assert whole.shape == (5000, psi.dim) and whole.flags.c_contiguous
+        for batch in (1, 2, 7):
+            pieces = [psi.evaluate_batch(x[lo:lo + batch])
+                      for lo in range(0, 5000, batch)]
+            assert np.array_equal(np.concatenate(pieces), whole)
+        split = np.concatenate([psi.evaluate_batch(x[:4097]),
+                                psi.evaluate_batch(x[4097:])])
+        assert np.array_equal(whole, split)
+        assert np.array_equal(psi.evaluate_batch(x.reshape(50, 100, 2, 4)),
+                              whole.reshape(50, 100, -1))
+
+
+def test_exact_zero_components_are_positive_zero():
+    # a rest mode's lower component is exactly zero; the branch sum starts
+    # from zero, so psi reads +0.0 there whatever the signs of the zero
+    # products inside the factors (times -1, +0.0 becomes -0.0)
+    rest = make_mode([0], 1.0, 1, 1, D11)
+    psi = NParticleWavefunction.from_product_branches(
+        [(-1.0, [[(1.0, rest), (-0.5j, rest)]])])
+    x = np.zeros((64, 1, 4))
+    x[:, 0, 0] = np.linspace(0.0, 6.0, 64)
+    lower = psi.evaluate_batch(x)[:, 1]
+    assert np.all(lower == 0.0)
+    assert not np.any(np.signbit(lower.real) | np.signbit(lower.imag))
