@@ -56,8 +56,11 @@ from .ensemble import (
 from .errors import (
     BoundaryLeak,
     ConsistencyError,
+    EmptyMarginal,
     EnvelopeBreach,
+    LabelOutOfRange,
     NodeProximity,
+    NoSamples,
     ScenarioError,
     SimulationError,
     ValidityBreach,

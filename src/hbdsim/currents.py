@@ -10,13 +10,30 @@ into the operator, each bilinear is psi^dag (B_1 x ... x B_N) psi with
 per-particle factors B_l = gamma^0 (gamma.n_l) = n_l^0 I - n_l . alpha for
 l != k and B_k = gamma^0 gamma^mu.
 
-Two implementations are kept deliberately: a dense Kronecker-matrix path
-(the obviously-correct reference, used by the public single-configuration
-operations and as a test oracle) and a batched slot-product path used by
-the integrator and the ensemble machinery. Tests pin their agreement.
+Two implementations are kept deliberately. The dense Kronecker-matrix path
+is the obviously-correct reference, used by the public single-configuration
+operations and as a test oracle. The bilinear kernel serves the integrator
+and the ensemble machinery: each B_l is linear in the normal, B_l =
+sum_i a_l(i) M_i with M_0 = I, M_i = alpha^i, a_l(0) = n_l^0 and a_l(i) =
+-n_l^i, so every current component and rho is a fixed combination of the
+(1 + spatial dims)^N normal-independent bilinears
+
+    T_c = psi^dag (M_{c_1} x ... x M_{c_N}) psi ,
+
+namely j_k^mu = sum_{c: c_k = mu} T_c prod_{l != k} a_l(c_l) and
+rho = sum_c T_c prod_l a_l(c_l). Every M_c has one nonzero entry per row,
+so T_c is a sum of D permuted, phased products per configuration. The
+kernel works on component-major blocks of a fixed number of rows and sums
+in a fixed order, so its values do not depend on batch shape. Tests pin
+the agreement of the two paths.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +41,6 @@ from .errors import ConsistencyError
 from .geometry import (
     SpinDimensionMode,
     alpha,
-    apply_in_slot,
     gamma,
     minkowski_dot,
     slash,
@@ -42,6 +58,7 @@ __all__ = [
 # bilinears are mathematically real; anything above this (relative to the
 # squared spinor norm) indicates a representation bug, not roundoff
 IMAG_TOLERANCE = 1e-10
+BLOCK_ROWS = 1024      # rows per kernel block; bounds the temporaries
 
 
 def _check_normals(normals, n_particles):
@@ -108,64 +125,132 @@ def density_rho(psi, points, normals) -> float:
 
 
 # ---------------------------------------------------------------------------
-# batched slot-product path
+# bilinear kernel
 # ---------------------------------------------------------------------------
 
-def _batch_factors(normals, mode):
-    """Per-particle matrices B_l = n_l^0 I - n_l . alpha, shape (..., N, d, d)."""
+@dataclass(frozen=True)
+class _BilinearTable:
+    """The operators M_c = M_{c_1} x ... x M_{c_N} (M_0 = I, M_i = alpha^i)
+    for every multi-index c in C order, each stored by rows: row r of M_c
+    has its one nonzero entry ``phase[c, r]`` in column ``perm[c, r]``."""
+
+    perm: np.ndarray       # (C, D) int
+    phase: np.ndarray      # (C, D) complex
+
+
+@functools.lru_cache(maxsize=None)
+def _bilinear_table(n_particles, mode: SpinDimensionMode) -> _BilinearTable:
     d = mode.spinor_dim
-    lead = normals.shape[:-1]
-    out = np.zeros(lead + (d, d), dtype=complex)
-    eye = np.eye(d)
-    out += normals[..., 0, None, None] * eye
-    for i in range(1, 1 + mode.spatial_dims):
-        out -= normals[..., i, None, None] * alpha(i, mode)
-    return out
+    singles = [np.eye(d, dtype=complex)]
+    singles += [alpha(i, mode) for i in range(1, 1 + mode.spatial_dims)]
+    # (column, phase) of the one nonzero entry of each row of each M_i; a
+    # Kronecker product of such matrices has one nonzero entry per row too
+    entries = []
+    for i, op in enumerate(singles):
+        cols = [np.flatnonzero(row) for row in op]
+        if any(len(c) != 1 for c in cols):
+            raise ConsistencyError(
+                f"M_{i} has a row without exactly one nonzero entry")
+        entries.append([(int(c[0]), complex(row[c[0]]))
+                        for row, c in zip(op, cols)])
+    perm, phase = [], []
+    for c in itertools.product(range(len(singles)), repeat=n_particles):
+        perm.append([])
+        phase.append([])
+        for r in itertools.product(range(d), repeat=n_particles):
+            col, ph = 0, 1.0
+            for c_l, r_l in zip(c, r):
+                col_l, ph_l = entries[c_l][r_l]
+                col, ph = col * d + col_l, ph * ph_l
+            perm[-1].append(col)
+            phase[-1].append(ph)
+    # cached and shared by every caller, so read-only
+    perm = np.array(perm)
+    phase = np.array(phase, dtype=complex)
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return _BilinearTable(perm, phase)
 
 
-def _spin_inner(a, b):
-    """sum over the spin axis of conj(a) * b, batched."""
-    return np.sum(np.conj(a) * b, axis=-1)
+def _kernel_blocks(values, normals, n_particles, mode):
+    """Yield (lo, t, a, scale) for each block of ``BLOCK_ROWS`` rows.
+
+    ``t`` holds the bilinears T_c = psi^dag M_c psi, shape (m,)*N + (rows,)
+    with m = 1 + spatial dims; ``a`` the coefficients a_l(0) = n_l^0,
+    a_l(i) = -n_l^i, shape (N, m, rows); ``scale`` psi^dag psi = Re T_0.
+    Every sum runs over a leading axis in a fixed order and everything else
+    is elementwise, so no value depends on the batch shape.
+    """
+    values = np.asarray(values)
+    vals = values.reshape(-1, values.shape[-1])
+    normals = np.asarray(normals, dtype=float).reshape(-1, n_particles, 4)
+    table = _bilinear_table(n_particles, mode)
+    m = 1 + mode.spatial_dims
+    for lo in range(0, vals.shape[0], BLOCK_ROWS):
+        v = vals[lo:lo + BLOCK_ROWS].T.copy()        # (D, rows)
+        vc = v.conj()
+        rows = v.shape[1]
+        # T_c summed over the components r in order, in two fixed buffers
+        t = np.empty((len(table.perm), rows), dtype=complex)
+        term = np.empty_like(t)
+        for r in range(len(v)):
+            out = term if r else t
+            v.take(table.perm[:, r], axis=0, out=out, mode="wrap")
+            out *= vc[r]
+            out *= table.phase[:, r, None]
+            if r:
+                t += term
+        # a fresh array: the caller's normals are never written
+        a = np.empty((n_particles, m, rows), dtype=complex)
+        block = normals[lo:lo + rows]
+        a[:, 0] = block[:, :, 0].T
+        np.negative(block[:, :, 1:m].transpose(1, 2, 0), out=a[:, 1:])
+        yield lo, t.reshape((m,) * n_particles + (rows,)), a, t[0].real
+
+
+def _contract(t, a, skip=None):
+    # sum t over every particle axis l != skip against a[l], last axis
+    # first, each sum in index order
+    for l in reversed(range(len(a))):
+        if l == skip:
+            continue
+        pick = (slice(None),) * l
+        acc = t[pick + (0,)] * a[l, 0]
+        for i in range(1, a.shape[1]):
+            acc += t[pick + (i,)] * a[l, i]
+        t = acc
+    return t
 
 
 def currents_all_batch(values, normals, n_particles, mode: SpinDimensionMode):
     """Currents j_k for all k at a batch of configurations.
 
     ``values`` has shape (..., D), ``normals`` (..., N, 4); returns
-    (..., N, 4) real currents. Arithmetic is elementwise plus fixed-order
-    small loops, so results are independent of how the batch is chunked.
+    (..., N, 4) real currents. j_k^mu sums T_c Prod_{l != k} a_l(c_l) over
+    the multi-indices c with c_k = mu.
     """
     values = np.asarray(values)
     lead = values.shape[:-1]
-    factors = _batch_factors(np.asarray(normals, dtype=float), mode)
-    scale = np.real(_spin_inner(values, values))
-
-    j = np.zeros(lead + (n_particles, 4))
-    for k in range(1, n_particles + 1):
-        chi = values
-        for l in range(1, n_particles + 1):
-            if l == k:
-                continue
-            chi = apply_in_slot(chi, factors[..., l - 1, :, :], l,
-                                n_particles, mode)
-        j[..., k - 1, 0] = _real_part(_spin_inner(values, chi), scale,
-                                      f"j_{k}^0")
-        for i in range(1, 1 + mode.spatial_dims):
-            comp = _spin_inner(values, apply_in_slot(chi, alpha(i, mode), k,
-                                                     n_particles, mode))
-            j[..., k - 1, i] = _real_part(comp, scale, f"j_{k}^{i}")
-    return j
+    m = 1 + mode.spatial_dims
+    out = np.zeros((math.prod(lead), n_particles, 4))
+    for lo, t, a, scale in _kernel_blocks(values, normals, n_particles, mode):
+        j = np.empty((n_particles,) + t.shape[-2:], dtype=complex)
+        for k in range(n_particles):
+            j[k] = _contract(t, a, skip=k)
+        out[lo:lo + len(scale), :, :m] = _real_part(
+            j, scale, "a current").transpose(2, 0, 1)
+    return out.reshape(lead + (n_particles, 4))
 
 
 def density_batch(values, normals, n_particles, mode: SpinDimensionMode):
-    """rho at a batch of configurations, shape (...,)."""
+    """rho at a batch of configurations, shape (...,): the sum of
+    T_c Prod_l a_l(c_l) over every multi-index c."""
     values = np.asarray(values)
-    factors = _batch_factors(np.asarray(normals, dtype=float), mode)
-    scale = np.real(_spin_inner(values, values))
-    chi = values
-    for l in range(1, n_particles + 1):
-        chi = apply_in_slot(chi, factors[..., l - 1, :, :], l, n_particles, mode)
-    return _real_part(_spin_inner(values, chi), scale, "rho")
+    lead = values.shape[:-1]
+    out = np.empty(math.prod(lead))
+    for lo, t, a, scale in _kernel_blocks(values, normals, n_particles, mode):
+        out[lo:lo + len(scale)] = _real_part(_contract(t, a), scale, "rho")
+    return out.reshape(lead)
 
 
 def divergence_residual(psi, k, points, normals, h) -> float:

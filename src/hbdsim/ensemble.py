@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import currents_all_batch, density_batch
-from .errors import BoundaryLeak, EnvelopeBreach
+from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
+                     LabelOutOfRange, NoSamples)
 from .geometry import alpha, apply_in_slot, minkowski_norm_sq
 from .dynamics import TrajectoryEnsemble
 
@@ -39,7 +40,9 @@ __all__ = [
 ]
 
 BOUNDARY_FLUX_TOLERANCE = 1e-6
-MAX_QUADRATURE_NODES = 50_000_000      # cap on quad_order ** joint dims
+MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
+BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
+CDF_RESOLUTION = 2049    # points of the marginal CDF grid
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -236,7 +239,7 @@ class LeafDensity:
                                 tuple(len(a) for a in axes)).ravel()
         return float(np.sum(w * coord) / np.sum(w))
 
-    def bin_masses(self, bins_per_axis, per_bin_order=8):
+    def bin_masses(self, bins_per_axis, per_bin_order=BIN_ORDER):
         """Normalized predicted masses on a regular joint binning.
 
         Returns (edges per axis, masses array of shape (bins,)*dims); the
@@ -266,7 +269,8 @@ class LeafDensity:
         total = masses.sum()
         return edges, masses / total
 
-    def marginal_cdf(self, axis, resolution=2049, cross_order=None):
+    def marginal_cdf(self, axis, resolution=CDF_RESOLUTION,
+                     cross_order=None):
         """CDF of one joint coordinate on a fine grid (trapezoid-integrated)."""
         cross_order = cross_order or self.quad_order
         lo, hi = self.axis_boxes[axis]
@@ -284,7 +288,7 @@ class LeafDensity:
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
         if cdf[-1] <= 0:
-            raise ValueError("marginal has no mass on the box")
+            raise EmptyMarginal("marginal has no mass on the box")
         return grid, cdf / cdf[-1]
 
     def boundary_relative_flux(self, resolution=None):
@@ -449,7 +453,7 @@ def crossings(ensemble: TrajectoryEnsemble, s_target: float) -> CrossingSet:
     """
     s_grid = ensemble.s_grid
     if not (s_grid[0] - 1e-12 <= s_target <= s_grid[-1] + 1e-12):
-        raise ValueError("target label outside the integrated range")
+        raise LabelOutOfRange("target label outside the integrated range")
     i = int(np.searchsorted(s_grid, s_target, side="right")) - 1
     i = min(max(i, 0), len(s_grid) - 2)
     theta = (s_target - s_grid[i]) / (s_grid[i + 1] - s_grid[i])
@@ -475,7 +479,7 @@ class EquivarianceReport:
     tv_distance: float
     tv_threshold: float
     ks_stats: list
-    ks_threshold: float
+    ks_threshold: float | None
     leak_mass: float
     passed: bool
     bin_edges: list = field(repr=False, default=None)
@@ -509,7 +513,9 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
     counted against the match) and runs a one-sample KS test on every
     1-d marginal against the quadrature CDF. Frequencies are shares of the
     whole ensemble, so the ``excluded`` trajectories, which halted before
-    the leaf, count as leaked mass.
+    the leaf, count as leaked mass. If every trajectory halted, the leak is
+    1, each KS statistic is 1 (an empty sample's CDF is 0 everywhere), no
+    KS threshold exists and the test fails.
     """
     if isinstance(samples, CrossingSet):
         excluded = samples.n_excluded
@@ -517,8 +523,8 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
     else:
         chart = np.asarray(samples, dtype=float)
     m_inc = chart.shape[0]
-    if m_inc < 1:
-        raise ValueError("no samples to test")
+    if m_inc + excluded < 1:
+        raise NoSamples("no samples to test")
     u = chart.reshape(m_inc, density.dims)
 
     edges, predicted = density.bin_masses(bins_per_axis)
@@ -529,24 +535,28 @@ def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,
     leak = 1.0 - counts.sum() / m_all
     tv = 0.5 * (np.sum(np.abs(emp - predicted)) + leak)
 
-    ks_stats = []
-    for a in range(density.dims):
-        xs = np.sort(u[:, a])
-        grid, cdf = density.marginal_cdf(a)
-        f = np.interp(xs, grid, cdf, left=0.0, right=1.0)
-        steps = np.arange(1, m_inc + 1) / m_inc
-        d_plus = np.max(steps - f)
-        d_minus = np.max(f - (steps - 1.0 / m_inc))
-        ks_stats.append(float(max(d_plus, d_minus)))
-
-    ks_threshold = ks_coefficient / np.sqrt(m_inc)
-    passed = bool(tv < tv_threshold
-                  and all(k < ks_threshold for k in ks_stats))
+    if m_inc == 0:
+        ks_stats = [1.0] * density.dims
+        ks_threshold = None
+        passed = False
+    else:
+        ks_stats = []
+        for a in range(density.dims):
+            xs = np.sort(u[:, a])
+            grid, cdf = density.marginal_cdf(a)
+            f = np.interp(xs, grid, cdf, left=0.0, right=1.0)
+            steps = np.arange(1, m_inc + 1) / m_inc
+            d_plus = np.max(steps - f)
+            d_minus = np.max(f - (steps - 1.0 / m_inc))
+            ks_stats.append(float(max(d_plus, d_minus)))
+        ks_threshold = float(ks_coefficient / np.sqrt(m_inc))
+        passed = bool(tv < tv_threshold
+                      and all(k < ks_threshold for k in ks_stats))
     return EquivarianceReport(
         ensemble_size=m_all, included=m_inc, excluded=excluded,
         bins_per_axis=int(bins_per_axis), tv_distance=float(tv),
         tv_threshold=float(tv_threshold), ks_stats=ks_stats,
-        ks_threshold=float(ks_threshold), leak_mass=float(leak),
+        ks_threshold=ks_threshold, leak_mass=float(leak),
         passed=passed, bin_edges=edges, counts=counts,
         predicted_masses=predicted)
 

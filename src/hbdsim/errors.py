@@ -41,3 +41,16 @@ class BoundaryLeak(SimulationError):
 class ConsistencyError(SimulationError):
     """An internal identity that must hold to roundoff was violated
     (e.g. a spinor bilinear came out with a non-real part)."""
+
+
+class EmptyMarginal(SimulationError, ValueError):
+    """A leaf density carries no mass on its box, so its marginal CDF
+    cannot be normalized."""
+
+
+class LabelOutOfRange(SimulationError, ValueError):
+    """A crossing was requested on a leaf outside the integrated range."""
+
+
+class NoSamples(SimulationError, ValueError):
+    """The equivariance test was given no trajectories at all."""

@@ -205,11 +205,9 @@ def apply_in_slot(values: np.ndarray, op: np.ndarray, k: int,
                   n_particles: int, mode: SpinDimensionMode) -> np.ndarray:
     """Apply a per-particle operator at slot k to a batch of spin vectors.
 
-    ``values`` has shape (..., D) with D = spinor_dim**N; ``op`` is either a
-    single (d, d) matrix or a batch (..., d, d) broadcasting against the
-    leading axes. The contraction is written as an explicit fixed-order loop
-    over the d x d entries so results do not depend on batch shape (this is
-    what makes chunked/parallel runs bit-identical to serial ones).
+    ``values`` has shape (..., D) with D = spinor_dim**N and ``op`` is one
+    (d, d) matrix. The contraction is written as an explicit fixed-order
+    loop over the d x d entries so results do not depend on batch shape.
     """
     d = mode.spinor_dim
     if not 1 <= k <= n_particles:
@@ -219,16 +217,12 @@ def apply_in_slot(values: np.ndarray, op: np.ndarray, k: int,
     dr = d ** (n_particles - k)
     v = values.reshape(lead + (dl, d, dr))
     out = np.zeros_like(v)
-    pointwise = op.ndim > 2
     for a in range(d):
         acc = None
         for b in range(d):
-            if pointwise:
-                c = op[..., a, b][..., None, None]
-            else:
-                c = op[a, b]
-                if c == 0:
-                    continue
+            c = op[a, b]
+            if c == 0:
+                continue
             term = c * v[..., :, b, :]
             acc = term if acc is None else acc + term
         if acc is not None:

@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .dynamics import NConfiguration
-from .ensemble import MAX_QUADRATURE_NODES
+from .ensemble import BIN_ORDER, CDF_RESOLUTION, MAX_QUADRATURE_NODES
 from .errors import ScenarioError
 from .foliation import ConstantNormal, FlatTime, GraphLeaf, RippleProfile, TanhProfile
 from .geometry import SpinDimensionMode, minkowski_dot
@@ -329,12 +329,21 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
         ks_coefficient = _number(ens_raw, "ks_coefficient", 1.63, "ensemble")
         if not tv_threshold > 0 or not ks_coefficient > 0:
             _fail("ensemble", "tv_threshold and ks_coefficient must be positive")
+        order = _grid_resolution(ens_raw, "quadrature_order", 64, "ensemble",
+                                 1, joint_dims)
+        if CDF_RESOLUTION * order ** (joint_dims - 1) > MAX_QUADRATURE_NODES:
+            _fail("ensemble",
+                  f"quadrature_order {order} needs {CDF_RESOLUTION}*{order}**"
+                  f"{joint_dims - 1} marginal-CDF points, above "
+                  f"{MAX_QUADRATURE_NODES}")
+        bins = _integer(ens_raw, "bins_per_axis", default_bins, "ensemble", 1)
+        if (BIN_ORDER * bins) ** joint_dims > MAX_QUADRATURE_NODES:
+            _fail("ensemble",
+                  f"bins_per_axis {bins} needs ({BIN_ORDER}*{bins})**"
+                  f"{joint_dims} bin-mass points, above {MAX_QUADRATURE_NODES}")
         ensemble = EnsembleBlock(
             size=size, seed=seed, boxes=boxes, target_boxes=target_boxes,
-            bins_per_axis=_integer(ens_raw, "bins_per_axis", default_bins,
-                                   "ensemble", 1),
-            quadrature_order=_grid_resolution(ens_raw, "quadrature_order", 64,
-                                              "ensemble", 1, joint_dims),
+            bins_per_axis=bins, quadrature_order=order,
             tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
             scan_resolution=scan_res)
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from hbdsim import currents as cmod
+from hbdsim.checks import random_curved_foliation, random_leaf_tuples
 from hbdsim.currents import (
+    BLOCK_ROWS,
     currents_all_batch,
     current_jk,
     density_batch,
@@ -109,12 +112,13 @@ def test_k_independence_on_curved_leaf():
 
 
 def test_dense_vs_batch_paths_agree(rng):
-    for mode, n in [(D11, 2), (D11, 3), (D31, 2)]:
+    cases = [(D11, 2), (D11, 3), (D31, 2), (D11, 1), (D31, 1), (D31, 3)]
+    for mode, n in cases:
         psi = entangled_pair(mode) if n == 2 else NParticleWavefunction([
             (1.0, tuple(make_mode(rng.normal(0, 1, mode.spatial_dims),
-                                  1.0, 1, 1, mode) for _ in range(3))),
+                                  1.0, 1, 1, mode) for _ in range(n))),
             (0.5j, tuple(make_mode(rng.normal(0, 1, mode.spatial_dims),
-                                   1.0, -1, 1, mode) for _ in range(3))),
+                                   1.0, -1, 1, mode) for _ in range(n))),
         ])
         pts, normals = leaf_tuple(psi, seed=n)
         vals = psi.evaluate_batch(pts[None])
@@ -126,6 +130,40 @@ def test_dense_vs_batch_paths_agree(rng):
             assert np.max(np.abs(j_batch[k - 1] - j_dense)) < 1e-12 * scale
         rho_b = density_batch(vals, normals[None], psi.n_particles, mode)[0]
         assert abs(rho_b - density_rho(psi, pts, normals)) < 1e-12 * abs(rho_b)
+
+
+def test_kernel_bits_independent_of_batch_shape():
+    # 5000 rows span several kernel blocks, the last one ragged. One-row,
+    # two-row and seven-row calls on windows that straddle a block boundary
+    # and the end, a 3-d batch and the whole batch must give the same bits,
+    # and the caller's arrays must come back untouched
+    assert 2 * BLOCK_ROWS < 5000 and 5000 % BLOCK_ROWS
+    windows = [range(BLOCK_ROWS - 25, BLOCK_ROWS + 24), range(4950, 5000)]
+    rng = np.random.default_rng(59)
+    for mode in (D11, D31):
+        for n in (1, 2, 3):
+            dim = mode.spin_space_dim(n)
+            vals = rng.normal(size=(5000, dim)) + 1j * rng.normal(
+                size=(5000, dim))
+            fol = random_curved_foliation(rng, mode.spatial_dims)
+            _, normals = random_leaf_tuples(rng, fol, n, 5000)
+            vals_before, normals_before = vals.copy(), normals.copy()
+            for kernel in (currents_all_batch, density_batch):
+                whole = kernel(vals, normals, n, mode)
+                for window in windows:
+                    for batch in (1, 2, 7):
+                        pieces = [kernel(vals[lo:lo + batch],
+                                         normals[lo:lo + batch], n, mode)
+                                  for lo in range(window.start, window.stop,
+                                                  batch)]
+                        got = np.concatenate(pieces)
+                        assert np.array_equal(
+                            got, whole[window.start:window.start + len(got)])
+                shaped = kernel(vals.reshape(50, 100, dim),
+                                normals.reshape(50, 100, n, 4), n, mode)
+                assert np.array_equal(shaped.reshape(whole.shape), whole)
+            assert np.array_equal(vals, vals_before)
+            assert np.array_equal(normals, normals_before)
 
 
 def test_current_oracle_dense_kron(rng):
@@ -219,21 +257,28 @@ def test_positivity_random_draws(rng):
     assert np.all(j[flowing][..., 0] > 0)
 
 
-def test_imaginary_residue_policy():
-    # corrupt a value vector so the bilinear acquires an imaginary part:
-    # the reality guard must trip rather than silently truncate
+def test_imaginary_residue_policy(monkeypatch):
+    # a non-Hermitian operator table gives every bilinear an imaginary
+    # part: the reality guard of both kernels must trip rather than
+    # silently truncate
     psi = entangled_pair(seed=47)
     pts, normals = leaf_tuple(psi, seed=53)
     vals = psi.evaluate_batch(pts[None])
-    bad = np.array(normals[None], dtype=float).copy()
+    table = cmod._bilinear_table(2, D11)
+    skewed = cmod._BilinearTable(table.perm, table.phase * np.exp(0.05j))
+    monkeypatch.setattr(cmod, "_bilinear_table", lambda n, mode: skewed)
     with pytest.raises(ConsistencyError):
-        # an intentionally non-Hermitian "normal" contraction: feed a
-        # complex normal through the batch path via monkeypatched factors
-        from hbdsim import currents as cmod
-        factors = cmod._batch_factors(bad, D11)
-        factors = factors + 1j * 0.05 * np.eye(2)
-        chi = cmod.apply_in_slot(vals, factors[..., 0, :, :], 1, 2, D11)
-        chi = cmod.apply_in_slot(chi, factors[..., 1, :, :], 2, 2, D11)
-        cmod._real_part(np.sum(np.conj(vals) * chi, axis=-1),
-                        np.real(np.sum(np.conj(vals) * vals, axis=-1)),
-                        "corrupted bilinear")
+        currents_all_batch(vals, normals[None], 2, D11)
+    with pytest.raises(ConsistencyError):
+        density_batch(vals, normals[None], 2, D11)
+
+
+def test_bilinear_table_requires_one_entry_per_row(monkeypatch):
+    table = cmod._bilinear_table(2, D31)
+    assert table.perm.shape == table.phase.shape == (16, 16)
+    # the identity multi-index comes first, in C order
+    assert np.array_equal(table.perm[0], np.arange(16))
+    assert np.all(table.phase[0] == 1)
+    monkeypatch.setattr(cmod, "alpha", lambda i, mode: np.ones((2, 2)))
+    with pytest.raises(ConsistencyError):
+        cmod._bilinear_table.__wrapped__(1, D11)

@@ -13,7 +13,13 @@ from hbdsim.ensemble import (
     sample_leaf,
     trajectory_rng,
 )
-from hbdsim.errors import BoundaryLeak
+from hbdsim.errors import (
+    BoundaryLeak,
+    EmptyMarginal,
+    LabelOutOfRange,
+    NoSamples,
+    SimulationError,
+)
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot
 from hbdsim.wavefunction import NParticleWavefunction, make_mode
@@ -285,6 +291,25 @@ def test_crossings_interpolation():
     assert np.max(np.abs(cs2.chart[:, 0, 0] - expected)) < 1e-12
     with pytest.raises(ValueError):
         crossings(ens, 2.0)
+
+
+def test_run_path_errors_are_simulation_errors():
+    # found mid-run, so they exit 3 with a named kind; they stay ValueErrors
+    fol = FlatTime(1)
+    dens = LeafDensity(fol, 0.0, rest_psi(), [[[-2.0, 2.0]]], 16)
+    with pytest.raises(NoSamples):
+        equivariance_test(np.zeros((0, 1, 1)), dens, bins_per_axis=4)
+    md = make_mode([0.4], 1.0, 1, 1, D11)
+    empty = NParticleWavefunction([(1.0, (md,)), (-1.0, (md,))])
+    with pytest.raises(EmptyMarginal):
+        LeafDensity(fol, 0.0, empty, [[[-2.0, 2.0]]], 16).marginal_cdf(0)
+    ens = integrate_ensemble(rest_psi(), fol, np.zeros((2, 1, 4)), 0.0, 1.0,
+                             0.5)
+    with pytest.raises(LabelOutOfRange):
+        crossings(ens, 2.0)
+    for error in (NoSamples, EmptyMarginal, LabelOutOfRange):
+        assert issubclass(error, SimulationError)
+        assert issubclass(error, ValueError)
 
 
 def test_crossing_single_mode_advances_linearly():

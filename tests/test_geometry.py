@@ -205,15 +205,3 @@ def test_apply_in_slot_matches_dense(rng):
             got = apply_in_slot(vals, op, k, n, mode)
             expected = vals @ dense.T
             assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
-
-
-def test_apply_in_slot_pointwise_ops(rng):
-    mode, n = D11, 2
-    d = mode.spinor_dim
-    dim = mode.spin_space_dim(n)
-    vals = rng.normal(size=(5, dim)) + 1j * rng.normal(size=(5, dim))
-    ops = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
-    got = apply_in_slot(vals, ops, 2, n, mode)
-    for i in range(5):
-        dense = lift_to_particle(ops[i], 2, n)
-        assert np.allclose(got[i], dense @ vals[i], atol=1e-13)

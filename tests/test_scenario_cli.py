@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from hbdsim.cli import main, run_equilibrium, run_simulate
-from hbdsim.ensemble import MAX_QUADRATURE_NODES, LeafDensity
+from hbdsim.ensemble import (
+    BIN_ORDER,
+    CDF_RESOLUTION,
+    MAX_QUADRATURE_NODES,
+    LeafDensity,
+)
 from hbdsim.errors import ScenarioError
 from hbdsim.scenario import (
     bundled_scenario_names,
@@ -22,6 +27,19 @@ from hbdsim.scenario import (
 BUNDLED = ["curved_n1_packet", "curved_n2_entangled", "flat_n1_beat",
            "flat_n1_rest", "flat_n2_entangled", "ripple_n2_product",
            "tilted_n1_drift"]
+
+
+def three_particles(quadrature_order):
+    """Mutation: the small scenario with three copies of its particle, so
+    the joint chart has three axes."""
+    def mutate(raw):
+        branch = raw["wavefunction"]["branches"][0]
+        branch["factors"] = branch["factors"] * 3
+        raw["integration"]["initial_positions"] = [[[-1.0], [0.0], [1.0]]]
+        raw["ensemble"].update(boxes=[[[-8.5, 7.0]]] * 3,
+                               target_boxes=[[[-8.0, 8.0]]] * 3,
+                               quadrature_order=quadrature_order)
+    return mutate
 
 
 def small_scenario_dict(size=120, s1=1.0):
@@ -98,6 +116,11 @@ def test_hash_tracks_content():
     (lambda r: r["ensemble"].update(scan_resolution=64.0), "ensemble"),
     (lambda r: r["ensemble"].update(scan_resolution=MAX_QUADRATURE_NODES + 1),
      "ensemble"),
+    pytest.param(lambda r: r["ensemble"].update(
+        bins_per_axis=MAX_QUADRATURE_NODES // BIN_ORDER + 1),
+                 "ensemble", id="ensemble-bin-mass-grid-over-cap"),
+    pytest.param(three_particles(157), "ensemble",
+                 id="ensemble-marginal-cdf-grid-over-cap"),
     pytest.param(lambda r: r["foliation"].update(scan_resolution=1),
                  "foliation", id="foliation-scan_resolution-too-small"),
     pytest.param(lambda r: r["foliation"].update(scan_resolution="fine"),
@@ -119,6 +142,21 @@ def test_validation_error_kinds(mutate, kind):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
     assert err.value.kind == kind
+
+
+def test_ensemble_grid_caps_are_tight():
+    # the largest bin count and quadrature order whose bin-mass and
+    # marginal-CDF grids fit under the cap still parse; one more fails
+    # (the over-cap cases of test_validation_error_kinds)
+    bins = MAX_QUADRATURE_NODES // BIN_ORDER
+    raw = small_scenario_dict()
+    raw["ensemble"]["bins_per_axis"] = bins
+    assert parse_scenario(raw).ensemble.bins_per_axis == bins
+    assert CDF_RESOLUTION * 156 ** 2 <= MAX_QUADRATURE_NODES
+    assert CDF_RESOLUTION * 157 ** 2 > MAX_QUADRATURE_NODES
+    raw = small_scenario_dict()
+    three_particles(156)(raw)
+    assert parse_scenario(raw).ensemble.quadrature_order == 156
 
 
 def test_terms_form_equivalent_to_branches(tmp_path):
@@ -287,6 +325,49 @@ def test_node_halts_are_counted_in_report(tmp_path):
     assert len(events["trajectory"]) == report["excluded"]
     assert set(events["trajectory"]).isdisjoint(cols["trajectory"])
     assert set(events["kind"]) <= {"node_proximity", "validity_breach"}
+
+
+def test_all_halted_equilibrium_ends_in_a_report(tmp_path, capsys):
+    # a node threshold of ten times the peak rho halts every trajectory at
+    # its first step: the run still reports, with all of the mass leaked,
+    # and fails the test
+    raw = json.loads(bundled_scenario_path("curved_n1_packet").read_text())
+    raw["integration"]["node_threshold_factor"] = 10.0
+    raw["ensemble"]["size"] = 50
+    path = tmp_path / "halting.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["equilibrium", "--scenario", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    report = read_json_report(out / "report.json")["report"]
+    assert report["passed"] is False
+    assert report["included"] == 0 and report["excluded"] == 50
+    assert report["leak_mass"] == 1.0 and report["tv_distance"] == 1.0
+    assert report["ks_stats"] == [1.0] and report["ks_threshold"] is None
+    hist = read_json_report(out / "histogram.json")
+    assert np.sum(hist["counts"]) == 0 and hist["leak_mass"] == 1.0
+    _, crossed = read_csv_table(out / "crossings.csv")
+    assert len(crossed["trajectory"]) == 0
+    _, events = read_csv_table(out / "events.csv")
+    assert sorted(events["trajectory"]) == list(range(50))
+
+
+def test_run_path_errors_are_typed(tmp_path, capsys, monkeypatch):
+    # an error found mid-run exits 3 with its own kind, not as internal
+    from hbdsim import cli
+    from hbdsim.errors import LabelOutOfRange
+
+    def refuse(*args, **kwargs):
+        raise LabelOutOfRange("target label outside the integrated range")
+
+    monkeypatch.setattr(cli, "crossings", refuse)
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(small_scenario_dict(size=20)))
+    assert main(["equilibrium", "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "LabelOutOfRange"
 
 
 def test_simulate_uses_no_leaf_density(tmp_path, monkeypatch):
