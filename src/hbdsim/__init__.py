@@ -10,7 +10,6 @@ from .geometry import (
     MultiSpinor,
     SpinDimensionMode,
     dirac_adjoint,
-    four_vector,
     gamma,
     lift_to_particle,
     minkowski_dot,
@@ -39,7 +38,6 @@ from .dynamics import (
     TrajectoryBundle,
     TrajectoryEnsemble,
     bd_flat_velocity,
-    hbd_velocity,
     integrate,
     integrate_ensemble,
     integrate_flat_bd,

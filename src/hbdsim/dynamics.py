@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import currents_all_batch
-from .errors import ConsistencyError, NodeProximity, ValidityBreach
+from .errors import ConsistencyError, NodeProximity
 from .geometry import lift_to_particle, alpha, minkowski_dot, minkowski_norm_sq
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "NConfiguration",
     "TrajectoryBundle",
     "TrajectoryEnsemble",
-    "hbd_velocity",
     "integrate",
     "integrate_ensemble",
     "bd_flat_velocity",
@@ -136,19 +135,6 @@ def _flow(psi, foliation, x):
         denom = minkowski_dot(grads, j)
         v = j / denom[..., None]
     return v, rho, j, denom, grad_ok
-
-
-def hbd_velocity(psi, foliation, config: NConfiguration,
-                 node_threshold: float = 0.0) -> np.ndarray:
-    """Parametrized velocities dX_k/ds at one configuration, shape (N, 4)."""
-    config.validate(foliation)
-    v, rho, _, _, grad_ok = _flow(psi, foliation, config.points[None])
-    if not grad_ok[0]:
-        raise ValidityBreach("foliation gradient not timelike at configuration",
-                             point=config.points)
-    if not rho[0] > node_threshold:
-        raise NodeProximity(config.s)
-    return v[0]
 
 
 def _label_grid(s0, s_end, step):

@@ -8,6 +8,12 @@ Kolmogorov-Smirnov comparison of empirical crossings against the predicted
 leaf density. A finite-difference check of the flat-frame continuity
 equation lives here too.
 
+Every leaf-density grid (scan, quadrature, bin masses, marginal CDFs and
+the boundary-flux faces) is a tensor grid evaluated factor by factor. The
+grid sizes and the sampler's settings are the module constants below, not
+per-call parameters, so every grid stays within the caps that scenario
+parsing checks.
+
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index); every trajectory consumes only its own
 stream, so serial and parallel runs of any worker count produce identical
@@ -28,7 +34,6 @@ from .dynamics import TrajectoryEnsemble
 
 __all__ = [
     "trajectory_rng",
-    "gauss_legendre_grid",
     "LeafDensity",
     "SampleSet",
     "sample_leaf",
@@ -39,10 +44,14 @@ __all__ = [
     "flat_continuity_residual",
 ]
 
-BOUNDARY_FLUX_TOLERANCE = 1e-6
+BOUNDARY_FLUX_TOLERANCE = 1e-6         # largest relative flux sampling takes
 MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
 BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
 CDF_RESOLUTION = 2049    # points of the marginal CDF grid
+PROPOSAL_BLOCK = 64      # proposals drawn per pending sample and round
+ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
+MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
+RESCAN_FACTOR = 2        # scan resolution growth per rescan
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -71,18 +80,6 @@ def _outer_product(factors):
     return out
 
 
-def gauss_legendre_grid(boxes, order):
-    """Tensor-product Gauss-Legendre nodes/weights over a list of intervals.
-
-    ``boxes`` has shape (dims, 2); returns nodes (order**dims, dims) and the
-    matching product weights.
-    """
-    axes_nodes, axes_weights = _gauss_legendre_axes(boxes, order)
-    mesh = np.meshgrid(*axes_nodes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    return nodes, _outer_product(axes_weights).ravel()
-
-
 def _auto_resolution(dims):
     return {1: 4097, 2: 401, 3: 61, 4: 23}.get(dims, 11)
 
@@ -97,12 +94,14 @@ class LeafDensity:
     which detunes the density: that variant exists purely as the negative
     control of the equivariance test.
 
-    Scans and quadratures run on tensor grids of per-axis nodes: each
-    particle's leaf points, normals and area elements are computed on its
-    own axes, and psi takes the particles' points as an outer product, so
-    each factor is evaluated once per own point rather than once per joint
-    grid point. ``weight`` evaluates one row per configuration (random
-    proposals).
+    Every grid quantity (the scan, the normalization and quadrature means,
+    the bin masses, the marginal CDFs and the boundary flux) runs on a
+    tensor grid of per-axis nodes: each particle's leaf points, normals and
+    area elements are computed on its own axes, and psi takes the
+    particles' points as an outer product, so each factor is evaluated once
+    per own point rather than once per joint grid point. Only ``weight``
+    evaluates one row per configuration, for the sampler's random
+    proposals (``chart_tuples`` and ``points`` serve those rows).
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -163,31 +162,45 @@ class LeafDensity:
     def weight_flat(self, u):
         return self.weight(self.chart_tuples(u))
 
-    def _grid_rho_area(self, axes):
-        # rho and the product of the area elements on the tensor grid of
-        # the per-axis 1-D nodes ``axes``, shape (len(axes[0]), ...). Each
-        # particle's leaf points, normals and area elements are computed on
-        # its own axes only; psi takes them as an outer product over the
-        # particles, so each factor is evaluated once per own point.
+    def _slot(self, k, a):
+        # particle k's per-point array (P_k, ...) shaped for the tensor grid
         n = self.psi.n_particles
+        return a.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k) + a.shape[1:])
+
+    def _grid_psi(self, axes):
+        # on the tensor grid of the per-axis 1-D nodes ``axes``: each
+        # particle's leaf points (P_k, 4) on its own axes, psi (P_0, ...,
+        # P_{N-1}, D) from those points as an outer product over the
+        # particles, and the product of the area elements, shape
+        # (len(axes[0]), ...)
         sd = self.foliation.spatial_dims
-        slot_points, normals, areas = [], [], []
-        for k in range(n):
+        points, areas = [], []
+        for k in range(self.psi.n_particles):
             mesh = np.meshgrid(*axes[k * sd:(k + 1) * sd], indexing="ij")
             xi = np.stack([m.ravel() for m in mesh], axis=-1)
-            pts = self.foliation.leaf_point(self.s, xi)
-            slot_points.append(
-                pts.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k) + (4,)))
-            normals.append(self._normals(pts))
+            points.append(self.foliation.leaf_point(self.s, xi))
             areas.append(self.foliation.area_element(self.s, xi))
-        vals = self.psi.evaluate_slots(slot_points)
-        grid_normals = np.empty(vals.shape[:-1] + (n, 4))
-        for k in range(n):
-            grid_normals[..., k, :] = normals[k].reshape(
-                slot_points[k].shape)
-        rho = density_batch(vals, grid_normals, n, self.psi.mode)
+        vals = self.psi.evaluate_slots(
+            [self._slot(k, p) for k, p in enumerate(points)])
         shape = tuple(len(a) for a in axes)
-        return rho.reshape(shape), _outer_product(areas).reshape(shape)
+        return points, vals, _outer_product(areas).reshape(shape)
+
+    def _grid_normals(self, normals, vals):
+        # each particle's normals (P_k, 4) broadcast to psi's grid
+        n = self.psi.n_particles
+        out = np.empty(vals.shape[:-1] + (n, 4))
+        for k in range(n):
+            out[..., k, :] = self._slot(k, normals[k])
+        return out
+
+    def _grid_rho_area(self, axes):
+        # rho and the area product on the tensor grid of ``axes``; each
+        # particle's factors and normals are computed on its own points
+        points, vals, area = self._grid_psi(axes)
+        normals = self._grid_normals([self._normals(p) for p in points], vals)
+        rho = density_batch(vals, normals, self.psi.n_particles,
+                            self.psi.mode)
+        return rho.reshape(area.shape), area
 
     # -- scans and integrals -------------------------------------------------
     def _scan_axes(self, resolution):
@@ -207,8 +220,8 @@ class LeafDensity:
             }
         return self._scan
 
-    def rescan(self, factor=2):
-        self.scan_resolution = int(self.scan_resolution * factor) + 1
+    def rescan(self):
+        self.scan_resolution = int(self.scan_resolution * RESCAN_FACTOR) + 1
         self._scan = None
         return self.scan()
 
@@ -239,15 +252,16 @@ class LeafDensity:
                                 tuple(len(a) for a in axes)).ravel()
         return float(np.sum(w * coord) / np.sum(w))
 
-    def bin_masses(self, bins_per_axis, per_bin_order=BIN_ORDER):
+    def bin_masses(self, bins_per_axis):
         """Normalized predicted masses on a regular joint binning.
 
-        Returns (edges per axis, masses array of shape (bins,)*dims); the
-        masses are normalized to sum to one over the box.
+        Each bin is integrated with ``BIN_ORDER`` Gauss-Legendre nodes per
+        axis. Returns (edges per axis, masses array of shape
+        (bins,)*dims); the masses are normalized to sum to one over the box.
         """
         bins = int(bins_per_axis)
         edges = [np.linspace(lo, hi, bins + 1) for lo, hi in self.axis_boxes]
-        base_x, base_w = np.polynomial.legendre.leggauss(per_bin_order)
+        base_x, base_w = np.polynomial.legendre.leggauss(BIN_ORDER)
         axes_nodes = []
         axes_weights = []
         for e in edges:
@@ -258,31 +272,33 @@ class LeafDensity:
             axes_weights.append(half[:, None] * base_w[None, :])
         rho, area = self._grid_rho_area(axes_nodes)
         w = (rho * area).reshape(
-            tuple(s for _ in range(self.dims) for s in (bins, per_bin_order)))
+            tuple(s for _ in range(self.dims) for s in (bins, BIN_ORDER)))
         for a in range(self.dims):
             shape = [1] * w.ndim
             shape[2 * a] = bins
-            shape[2 * a + 1] = per_bin_order
+            shape[2 * a + 1] = BIN_ORDER
             w = w * axes_weights[a].reshape(shape)
         masses = w.sum(axis=tuple(range(1, 2 * self.dims, 2))
                        if self.dims > 0 else ())
         total = masses.sum()
         return edges, masses / total
 
-    def marginal_cdf(self, axis, resolution=CDF_RESOLUTION,
-                     cross_order=None):
-        """CDF of one joint coordinate on a fine grid (trapezoid-integrated)."""
-        cross_order = cross_order or self.quad_order
+    def marginal_cdf(self, axis):
+        """CDF of one joint coordinate on a fine grid (trapezoid-integrated).
+
+        The grid has ``CDF_RESOLUTION`` points; the other coordinates are
+        integrated out with the density's quadrature order.
+        """
         lo, hi = self.axis_boxes[axis]
-        grid = np.linspace(lo, hi, resolution)
-        axes, weights = _gauss_legendre_axes(self.axis_boxes, cross_order)
+        grid = np.linspace(lo, hi, CDF_RESOLUTION)
+        axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
         axes[axis] = grid
         del weights[axis]
         rho, area = self._grid_rho_area(axes)
         # the marginal axis first and the others in order, C-contiguous, so
         # that each row sums over the cross nodes in quadrature order
         w = np.ascontiguousarray(np.moveaxis(rho * area, axis, 0))
-        pdf = np.sum(w.reshape(resolution, -1)
+        pdf = np.sum(w.reshape(CDF_RESOLUTION, -1)
                      * _outer_product(weights).ravel(), axis=-1)
         dx = grid[1] - grid[0]
         cdf = np.concatenate(
@@ -291,7 +307,7 @@ class LeafDensity:
             raise EmptyMarginal("marginal has no mass on the box")
         return grid, cdf / cdf[-1]
 
-    def boundary_relative_flux(self, resolution=None):
+    def boundary_relative_flux(self):
         """Largest outward probability flux through the box boundary,
         relative to the peak weight.
 
@@ -301,43 +317,30 @@ class LeafDensity:
         division-free and well defined even near nodes. A rest-like state
         (no flux anywhere) passes trivially however its weight looks at the
         boundary; a traveling packet passes only if its tails are negligible
-        there.
+        there. Each face is a tensor grid of the scan's kind with its own
+        axis pinned to the edge, and the currents use the foliation's true
+        normals even for a ``flat_normals`` density.
         """
         sd = self.foliation.spatial_dims
         n = self.psi.n_particles
-        face_dims = self.dims - 1
-        res = resolution or _auto_resolution(max(face_dims, 1))
+        res = _auto_resolution(max(self.dims - 1, 1))
         worst = 0.0
         for a in range(self.dims):
             k, comp = divmod(a, sd)
-            other = [b for b in range(self.dims) if b != a]
-            if other:
-                axes = [np.linspace(lo, hi, res) for lo, hi in
-                        self.axis_boxes[other]]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                base = np.stack([m.ravel() for m in mesh], axis=-1)
-            else:
-                base = np.zeros((1, 0))
             for side, edge in enumerate(self.axis_boxes[a]):
-                u = np.empty((base.shape[0], self.dims))
-                for j, b in enumerate(other):
-                    u[:, b] = base[:, j]
-                u[:, a] = edge
-                xi = self.chart_tuples(u)
-                pts = self.points(xi)
-                vals = self.psi.evaluate_batch(pts)
-                normals = self.foliation.normal(pts)
+                axes = self._scan_axes(res)
+                axes[a] = np.array([edge])
+                points, vals, area = self._grid_psi(axes)
+                normals = self._grid_normals(
+                    [self.foliation.normal(p) for p in points], vals)
                 j = currents_all_batch(vals, normals, n, self.psi.mode)
                 grad_norm = np.sqrt(minkowski_norm_sq(
-                    self.foliation.gradient(pts[:, k, :])))
-                chart_v = self.foliation.chart_velocity(pts[:, k, :],
-                                                        j[:, k, :])[:, comp]
-                area = np.ones(u.shape[0])
-                for kk in range(n):
-                    area = area * self.foliation.area_element(self.s,
-                                                              xi[:, kk, :])
+                    self.foliation.gradient(points[k])))
+                chart_v = self.foliation.chart_velocity(
+                    self._slot(k, points[k]), j[..., k, :])[..., comp]
                 outward = chart_v if side == 1 else -chart_v
-                flux = area * np.maximum(outward, 0.0) / grad_norm
+                flux = (area.reshape(chart_v.shape) * np.maximum(outward, 0.0)
+                        / self._slot(k, grad_norm))
                 worst = max(worst, float(np.max(flux)))
         return worst / self.max_weight()
 
@@ -359,48 +362,46 @@ class SampleSet:
         return self.density.points(self.chart)
 
 
-def sample_leaf(density: LeafDensity, m_samples: int, seed: int,
-                proposal_block: int = 64, envelope_factor: float = 1.1,
-                max_restarts: int = 3,
-                boundary_tolerance: float = BOUNDARY_FLUX_TOLERANCE) -> SampleSet:
+def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     """Draw M independent configurations from the leaf density.
 
-    Rejection sampling with a uniform proposal over the box and an envelope
-    of (scanned max weight) * envelope_factor. Each sample i consumes only
-    the Philox stream keyed by (seed, i), in fixed-size blocks, so the
-    result is reproducible bit for bit for any execution order. A weight
-    above the envelope triggers a finer rescan and a full deterministic
-    restart.
+    Sampling refuses to start when the box boundary's relative flux is not
+    below ``BOUNDARY_FLUX_TOLERANCE``. Rejection sampling then uses a
+    uniform proposal over the box and an envelope of (scanned max weight) *
+    ``ENVELOPE_FACTOR``. Each sample i consumes only the Philox stream keyed
+    by (seed, i), in blocks of ``PROPOSAL_BLOCK`` proposals, so the result
+    is reproducible bit for bit for any execution order. A weight above the
+    envelope triggers a finer rescan and a full deterministic restart, at
+    most ``MAX_RESTARTS`` attempts in all.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
     leak = density.boundary_relative_flux()
-    if not leak < boundary_tolerance:
+    if not leak < BOUNDARY_FLUX_TOLERANCE:
         raise BoundaryLeak(
             f"boundary flux {leak:.3e} of peak weight exceeds "
-            f"{boundary_tolerance:.1e}; enlarge the sampling box")
+            f"{BOUNDARY_FLUX_TOLERANCE:.1e}; enlarge the sampling box")
 
     dims = density.dims
     lo = density.axis_boxes[:, 0]
     span = density.axis_boxes[:, 1] - density.axis_boxes[:, 0]
 
     last_exc = None
-    for _ in range(max_restarts):
-        envelope = envelope_factor * density.max_weight()
+    for _ in range(MAX_RESTARTS):
+        envelope = ENVELOPE_FACTOR * density.max_weight()
         try:
             flat = _rejection_fill(density, m_samples, seed, envelope,
-                                   lo, span, dims, proposal_block)
+                                   lo, span, dims)
             return SampleSet(chart=density.chart_tuples(flat), density=density,
                              seed=int(seed), envelope=float(envelope))
         except EnvelopeBreach as exc:
             last_exc = exc
             density.rescan()
     raise EnvelopeBreach(
-        f"envelope still violated after {max_restarts} rescans: {last_exc}")
+        f"envelope still violated after {MAX_RESTARTS} rescans: {last_exc}")
 
 
-def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
-                    block):
+def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
     gens = [trajectory_rng(seed, i) for i in range(m_samples)]
     out = np.empty((m_samples, dims))
     pending = np.arange(m_samples)
@@ -410,7 +411,7 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
         if rounds > 10000:
             raise EnvelopeBreach("rejection sampling failed to converge; "
                                  "acceptance rate is pathologically low")
-        draws = np.stack([gens[i].random((block, dims + 1))
+        draws = np.stack([gens[i].random((PROPOSAL_BLOCK, dims + 1))
                           for i in pending])
         proposals = lo + draws[..., :dims] * span
         w = density.weight_flat(proposals)

@@ -28,7 +28,6 @@ __all__ = [
     "SpinDimensionMode",
     "MultiSpinor",
     "METRIC_DIAGONAL",
-    "four_vector",
     "minkowski_dot",
     "minkowski_norm_sq",
     "gamma",
@@ -66,11 +65,6 @@ class SpinDimensionMode(Enum):
 
     def spin_space_dim(self, n_particles: int) -> int:
         return self.spinor_dim ** n_particles
-
-
-def four_vector(x0=0.0, x1=0.0, x2=0.0, x3=0.0) -> np.ndarray:
-    """Build a contravariant four-vector as a plain float array."""
-    return np.array([x0, x1, x2, x3], dtype=float)
 
 
 def minkowski_dot(a, b):
@@ -158,19 +152,16 @@ def lift_to_particle(op: np.ndarray, k: int, n_particles: int) -> np.ndarray:
     return out
 
 
-def slash(v, k: int = 1, n_particles: int = 1,
-          mode: SpinDimensionMode = SpinDimensionMode.D31) -> np.ndarray:
-    """Metric contraction v^mu gamma_mu = v^0 gamma^0 - sum_i v^i gamma^i,
-    lifted to slot k of the N-particle space."""
+def slash(v, mode: SpinDimensionMode = SpinDimensionMode.D31) -> np.ndarray:
+    """Single-particle metric contraction
+    v^mu gamma_mu = v^0 gamma^0 - sum_i v^i gamma^i."""
     v = np.asarray(v, dtype=float)
     out = v[0] * gamma(0, mode)
     for mu in mode.vector_indices:
         if mu == 0:
             continue
         out = out - v[mu] * gamma(mu, mode)
-    if n_particles == 1 and k == 1:
-        return out
-    return lift_to_particle(out, k, n_particles)
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ Wave functions may be given in two equivalent forms:
   parameters (p, energy sign, spin label) per term;
 * ``branches``: a sum of product terms, each factor either an explicit
   weighted mode list or a Gaussian ``packet`` shorthand that expands to an
-  equally spaced momentum comb. Branches are expanded to the flat form and
-  additionally kept for fast factored evaluation.
+  equally spaced momentum comb. Branches are kept as branches and never
+  expanded into terms; a term is a branch of one-mode factors.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ depend on batch shape or grid layout.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,36 +130,34 @@ class NParticleWavefunction:
     normalized at construction; the ensemble layer normalizes by the total
     leaf flux where a probability reading is needed.
 
-    Every state is held as a sum of product branches: a term is a branch
-    whose factors each hold one mode with weight 1, and
-    ``from_product_branches`` passes factors of many modes. ``terms`` is
-    always the full expansion.
+    Every state is held only as a sum of product branches, ``branches``:
+    a term is a branch whose factors each hold one mode with weight 1, and
+    ``from_product_branches`` passes factors of many modes. The branches
+    are never expanded into terms; evaluation runs on the factored form.
     """
 
     def __init__(self, terms):
-        terms = [(complex(c), tuple(modes)) for c, modes in terms]
-        self._setup(terms, [(c, tuple(((1.0, md),) for md in modes))
-                            for c, modes in terms])
+        self._setup([(complex(c), tuple(((1.0, md),) for md in modes))
+                     for c, modes in terms])
 
-    def _setup(self, terms, branches):
-        if not terms:
+    def _setup(self, branches):
+        if not any(all(factors) for _, factors in branches):
             raise ValueError("wavefunction needs at least one term")
-        n_particles = len(terms[0][1])
-        if not all(len(modes) == n_particles for _, modes in terms):
+        n_particles = len(branches[0][1])
+        if not all(len(factors) == n_particles for _, factors in branches):
             raise ValueError("every term must supply one mode per particle")
-        if not any(c != 0 for c, _ in terms):
+        if not any(c != 0 and all(any(w != 0 for w, _ in f) for f in factors)
+                   for c, factors in branches):
             raise ValueError("at least one coefficient must be nonzero")
 
-        first = terms[0][1][0]
-        self.mode = first.mode
-        self.mass = first.m
-        for _, modes in terms:
-            for md in modes:
-                if md.mode is not self.mode or md.m != self.mass:
-                    raise ValueError("all modes must share mass and dimension mode")
+        every = [md for _, factors in branches for f in factors for _, md in f]
+        self.mode = every[0].mode
+        self.mass = every[0].m
+        if any(md.mode is not self.mode or md.m != self.mass for md in every):
+            raise ValueError("all modes must share mass and dimension mode")
 
         self.n_particles = n_particles
-        self.terms = tuple(terms)
+        self.branches = tuple(branches)
         self.dim = self.mode.spin_space_dim(self.n_particles)
         # per slot: the distinct four-momenta of all its factors, compared
         # bitwise, and the modes of its factors, branch after branch: each
@@ -197,21 +194,13 @@ class NParticleWavefunction:
 
         ``branches`` is a sequence of (complex coefficient, factors) where
         ``factors[k]`` is a list of (complex weight, PlaneWaveMode) for
-        particle k+1. ``terms`` is the full expansion; evaluation runs on
-        the factored form.
+        particle k+1. The state is kept in this form, so its size is the
+        total number of factor modes, not their product.
         """
-        branches = [(complex(c), tuple(tuple((complex(w), md) for w, md in f)
-                                       for f in factors))
-                    for c, factors in branches]
-        terms = []
-        for c, factors in branches:
-            for combo in itertools.product(*factors):
-                coeff = c
-                for w, _ in combo:
-                    coeff = coeff * w
-                terms.append((coeff, tuple(md for _, md in combo)))
         psi = cls.__new__(cls)
-        psi._setup(terms, branches)
+        psi._setup([(complex(c), tuple(tuple((complex(w), md) for w, md in f)
+                                       for f in factors))
+                    for c, factors in branches])
         return psi
 
     def _slot_phases(self, x, p4s):

@@ -6,8 +6,8 @@ from hbdsim.checks import flat_reduction_deviation
 from hbdsim.currents import current_jk
 from hbdsim.dynamics import (
     NConfiguration,
+    _flow,
     bd_flat_velocity,
-    hbd_velocity,
     integrate,
     integrate_ensemble,
     sample_path_at_times,
@@ -56,7 +56,7 @@ def test_flat_velocity_reduces_to_guiding_law():
     q = np.array([[0.3], [-0.6]])
     pts = np.zeros((2, 4))
     pts[:, 1] = q[:, 0]
-    v = hbd_velocity(psi, flat, NConfiguration(0.0, pts))
+    v = _flow(psi, flat, pts[None])[0][0]
     # time components are exactly 1 in the leaf-label parametrization
     assert np.max(np.abs(v[:, 0] - 1.0)) < 1e-12
     vq = bd_flat_velocity(psi, 0.0, q)
@@ -177,7 +177,7 @@ def test_product_state_velocity_independence():
     for xi2 in (-1.0, 0.5, 2.0):
         pts = np.stack([fol.leaf_point(0.0, np.array([0.3])),
                         fol.leaf_point(0.0, np.array([xi2]))])
-        v = hbd_velocity(psi, fol, NConfiguration(0.0, pts))
+        v = _flow(psi, fol, pts[None])[0][0]
         if xi2 == -1.0:
             v_ref = v[0]
         else:
@@ -189,8 +189,8 @@ def test_node_proximity_raised():
     psi = NParticleWavefunction([(1.0, (md,)), (-1.0, (md,))])  # identically 0
     flat = FlatTime(spatial_dims=1)
     cfg = NConfiguration(0.0, np.zeros((1, 4)))
-    with pytest.raises(NodeProximity):
-        hbd_velocity(psi, flat, cfg, node_threshold=1e-12)
+    b = integrate(psi, flat, cfg, 1.0, 0.05, node_threshold=1e-12)
+    assert b.events == [(0.0, "node_proximity")] and b.valid_steps == 0
     with pytest.raises(NodeProximity):
         bd_flat_velocity(psi, 0.0, np.zeros((1, 1)), node_threshold=1e-12)
 
@@ -292,12 +292,12 @@ def test_bd_velocity_examples():
     v = bd_flat_velocity(rest, 0.3, np.zeros((2, 1)))
     assert np.max(np.abs(v)) < 1e-14
 
-    psi = single_mode_psi(0.9)
+    md = make_mode([0.9], 1.0, 1, 1, D11)
+    psi = NParticleWavefunction([(1.0, (md,))])
     v = bd_flat_velocity(psi, 0.0, np.array([[0.4]]))
     assert abs(v[0, 0] - 0.9 / np.sqrt(1.81)) < 1e-12
 
-    scaled = NParticleWavefunction(
-        [((0.3 - 1.2j) * c, modes) for c, modes in psi.terms])
+    scaled = NParticleWavefunction([((0.3 - 1.2j) * 1.0, (md,))])
     v2 = bd_flat_velocity(scaled, 0.0, np.array([[0.4]]))
     assert np.max(np.abs(v - v2)) < 1e-14
 

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from hbdsim.currents import density_batch
+from hbdsim.currents import currents_all_batch, density_batch
 from hbdsim.dynamics import NConfiguration, integrate_ensemble
 from hbdsim.ensemble import (
+    CDF_RESOLUTION,
     CrossingSet,
     LeafDensity,
+    _auto_resolution,
     crossings,
     equivariance_test,
     flat_continuity_residual,
-    gauss_legendre_grid,
     sample_leaf,
     trajectory_rng,
 )
@@ -21,10 +22,28 @@ from hbdsim.errors import (
     SimulationError,
 )
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile
-from hbdsim.geometry import SpinDimensionMode, minkowski_dot
+from hbdsim.geometry import SpinDimensionMode, minkowski_dot, minkowski_norm_sq
 from hbdsim.wavefunction import NParticleWavefunction, make_mode
 
 D11 = SpinDimensionMode.D11
+D31 = SpinDimensionMode.D31
+
+
+def gauss_legendre_grid(boxes, order):
+    """Quadrature oracle: tensor-product Gauss-Legendre nodes (order**dims,
+    dims) over a list of intervals, with the product weights."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = [], []
+    for lo, hi in np.asarray(boxes, dtype=float):
+        half = 0.5 * (hi - lo)
+        nodes.append(lo + half * (base_x + 1.0))
+        weights.append(half * base_w)
+    mesh = np.meshgrid(*nodes, indexing="ij")
+    wmesh = np.meshgrid(*weights, indexing="ij")
+    w = np.ones(mesh[0].size)
+    for m in wmesh:
+        w = w * m.ravel()
+    return np.stack([m.ravel() for m in mesh], axis=-1), w
 
 
 def rest_psi():
@@ -106,7 +125,45 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     assert scan["max_rho"] == np.max(rho)
 
 
-def _row_path_quantities(dens, bins, cdf_resolution):
+def _row_flux(dens):
+    # the boundary flux's row formula: every face point as one row through
+    # evaluate_batch, with the foliation's true normals
+    sd = dens.foliation.spatial_dims
+    n = dens.psi.n_particles
+    res = _auto_resolution(max(dens.dims - 1, 1))
+    worst = 0.0
+    for a in range(dens.dims):
+        k, comp = divmod(a, sd)
+        other = [b for b in range(dens.dims) if b != a]
+        if other:
+            mesh = np.meshgrid(*[np.linspace(lo, hi, res) for lo, hi in
+                                 dens.axis_boxes[other]], indexing="ij")
+            base = np.stack([m.ravel() for m in mesh], axis=-1)
+        else:
+            base = np.zeros((1, 0))
+        for side, edge in enumerate(dens.axis_boxes[a]):
+            u = np.empty((base.shape[0], dens.dims))
+            u[:, other] = base
+            u[:, a] = edge
+            xi = dens.chart_tuples(u)
+            pts = dens.points(xi)
+            j = currents_all_batch(dens.psi.evaluate_batch(pts),
+                                   dens.foliation.normal(pts), n,
+                                   dens.psi.mode)
+            grad_norm = np.sqrt(minkowski_norm_sq(
+                dens.foliation.gradient(pts[:, k, :])))
+            chart_v = dens.foliation.chart_velocity(pts[:, k, :],
+                                                    j[:, k, :])[:, comp]
+            area = np.ones(u.shape[0])
+            for kk in range(n):
+                area = area * dens.foliation.area_element(dens.s, xi[:, kk, :])
+            outward = chart_v if side == 1 else -chart_v
+            flux = area * np.maximum(outward, 0.0) / grad_norm
+            worst = max(worst, float(np.max(flux)))
+    return worst / dens.max_weight()
+
+
+def _row_path_quantities(dens, bins):
     # the grid consumers' formulas applied to explicit meshgrid rows
     # through weight_flat, one psi evaluation per joint grid point
     def rows(axes):
@@ -147,12 +204,12 @@ def _row_path_quantities(dens, bins, cdf_resolution):
     out["cdfs"] = []
     for a in range(dens.dims):
         lo, hi = dens.axis_boxes[a]
-        grid = np.linspace(lo, hi, cdf_resolution)
+        grid = np.linspace(lo, hi, CDF_RESOLUTION)
         other = [b for b in range(dens.dims) if b != a]
         if other:
             cross, wc = gauss_legendre_grid(dens.axis_boxes[other],
                                             dens.quad_order)
-            uc = np.empty((cdf_resolution, cross.shape[0], dens.dims))
+            uc = np.empty((CDF_RESOLUTION, cross.shape[0], dens.dims))
             uc[..., a] = grid[:, None]
             for j, b in enumerate(other):
                 uc[..., b] = cross[:, j]
@@ -163,6 +220,7 @@ def _row_path_quantities(dens, bins, cdf_resolution):
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
         out["cdfs"].append(cdf / cdf[-1])
+    out["flux"] = _row_flux(dens)
     return out
 
 
@@ -179,6 +237,19 @@ def _graph_n2(flat_normals):
                        scan_resolution=33, flat_normals=flat_normals)
 
 
+def _graph_d31_n1():
+    # one D31 particle on a curved leaf: three chart axes, two spin labels
+    fol = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-40, 40]] * 3,
+                    spatial_dims=3)
+    modes = [make_mode([0.7, 0.2, -0.3], 1.0, 1, 1, D31),
+             make_mode([-0.4, 0.5, 0.1], 1.0, 1, 2, D31),
+             make_mode([0.1, -0.6, 0.4], 1.0, -1, 1, D31)]
+    psi = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, modes[0]), (0.5j, modes[1]), (0.3, modes[2])]])])
+    return LeafDensity(fol, 0.3, psi, [[[-3.0, 2.5], [-2.0, 2.5],
+                                        [-2.5, 2.0]]], 6, scan_resolution=9)
+
+
 @pytest.mark.parametrize("build", [
     lambda: _graph_n2(False),
     lambda: _graph_n2(True),
@@ -186,13 +257,14 @@ def _graph_n2(flat_normals):
                                   validity_box=[[-40, 40]], spatial_dims=1),
                         0.3, packet_psi(FlatTime(1), center=-0.5),
                         [[[-7.0, 6.0]]], 24, scan_resolution=301),
-], ids=["graph_n2", "graph_n2_flat_normals", "graph_n1"])
+    _graph_d31_n1,
+], ids=["graph_n2", "graph_n2_flat_normals", "graph_n1", "graph_d31_n1"])
 def test_grid_consumers_equal_row_path_bitwise(build):
     # the tensor-grid path (factors per particle axis, outer product over
     # particles) gives the same bits as evaluating every joint grid point
     dens = build()
-    bins, res = 4, 257
-    ref = _row_path_quantities(dens, bins, res)
+    bins = 4
+    ref = _row_path_quantities(dens, bins)
     scan = dens.scan()
     assert scan["max_weight"] == ref["max_weight"]
     assert scan["max_rho"] == ref["max_rho"]
@@ -202,8 +274,10 @@ def test_grid_consumers_equal_row_path_bitwise(build):
     _, masses = dens.bin_masses(bins)
     assert np.array_equal(masses, ref["masses"])
     for a in range(dens.dims):
-        _, cdf = dens.marginal_cdf(a, resolution=res)
+        _, cdf = dens.marginal_cdf(a)
         assert np.array_equal(cdf, ref["cdfs"][a])
+    assert ref["flux"] > 0.0
+    assert dens.boundary_relative_flux() == ref["flux"]
 
 
 def test_sampling_uniform_ks():

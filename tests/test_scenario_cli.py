@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import time
 from pathlib import Path
@@ -163,12 +164,14 @@ def test_terms_form_equivalent_to_branches(tmp_path):
     raw = small_scenario_dict()
     sc_b = parse_scenario(raw)
     flat_terms = []
-    for c, modes in sc_b.psi.terms:
-        flat_terms.append({
-            "coefficient": [c.real, c.imag],
-            "modes": [{"p": list(md.p), "energy_sign": md.energy_sign,
-                       "spin_label": md.spin_label} for md in modes],
-        })
+    for c_br, factors in sc_b.psi.branches:
+        for combo in itertools.product(*factors):
+            c = c_br * np.prod([w for w, _ in combo])
+            flat_terms.append({
+                "coefficient": [c.real, c.imag],
+                "modes": [{"p": list(md.p), "energy_sign": md.energy_sign,
+                           "spin_label": md.spin_label} for _, md in combo],
+            })
     # the flat form drops the packet weights into the coefficients
     raw2 = copy.deepcopy(raw)
     raw2["wavefunction"] = {"terms": flat_terms}

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,39 @@ def test_wavefunction_validation():
         NParticleWavefunction([(1.0, (m1,)), (1.0, (m2,))])   # mass mismatch
     with pytest.raises(ValueError):
         NParticleWavefunction([(1.0, (m1,)), (1.0, (m1, m1))])
+    # the branch form is checked without expanding it: one factor per
+    # particle, shared mass and mode, and some branch that can be nonzero
+    build = NParticleWavefunction.from_product_branches
+    cases = [
+        ([], "at least one term"),
+        ([(1.0, [[(1.0, m1)], []])], "at least one term"),
+        ([(1.0, [[(1.0, m1)]]), (1.0, [[(1.0, m1)], [(1.0, m1)]])],
+         "one mode per particle"),
+        ([(0.0, [[(1.0, m1)]]), (1.0, [[(0.0, m1), (0.0, m1)]])],
+         "coefficient must be nonzero"),
+        ([(1.0, [[(1.0, m1), (0.5, m2)]])], "share mass"),
+    ]
+    for branches, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build(branches)
+    psi = build([(0.0, [[(1.0, m1)]]), (1.0, [[(0.0, m1), (2.0, m1)]])])
+    assert abs(psi.evaluate(np.zeros((1, 4))).norm_sq() - 4.0) < 1e-14
+
+
+def test_branches_are_not_expanded():
+    # four particles with 21-mode factors would expand to 21**4 terms; the
+    # state is kept as its 84 factor modes
+    modes = [make_mode([0.1 * a], 1.0, 1, 1, D11) for a in range(-10, 11)]
+    factor = [(np.exp(-0.01 * a * a), md) for a, md in zip(range(-10, 11),
+                                                            modes)]
+    tracemalloc.start()
+    try:
+        psi = NParticleWavefunction.from_product_branches([(1.0, [factor] * 4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.n_particles == 4
+    assert peak < 1_000_000
 
 
 def test_evaluate_single_term_origin():
@@ -156,15 +192,18 @@ def test_branch_form_matches_term_expansion(rng):
           (0.2j, make_mode([1.0], 1.0, 1, 1, D11))]
     f2 = [(1.0, make_mode([-0.5], 1.0, 1, 1, D11)),
           (-0.4, make_mode([0.1], 1.0, -1, 1, D11))]
-    psi = NParticleWavefunction.from_product_branches(
-        [(1.0, [f1, f2]), (0.5 - 0.5j, [f2, f1])])
-    assert len(psi.terms) == 8
+    branches = [(1.0, [f1, f2]), (0.5 - 0.5j, [f2, f1])]
+    psi = NParticleWavefunction.from_product_branches(branches)
+    terms = [(c * np.prod([w for w, _ in combo]), [md for _, md in combo])
+             for c, factors in branches
+             for combo in itertools.product(*factors)]
+    assert len(terms) == 8
     x = rng.normal(size=(6, 2, 4))
     x[..., 2:] = 0.0
     expected = np.array([
         sum(c * kron_chain([md.w * np.exp(-1j * minkowski_dot(
             md.four_momentum, xi[k])) for k, md in enumerate(modes)])
-            for c, modes in psi.terms)
+            for c, modes in terms)
         for xi in x])
     got = psi.evaluate_batch(x)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
