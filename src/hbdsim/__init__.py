@@ -9,7 +9,6 @@ quantum-equilibrium equivariance.
 from .geometry import (
     MultiSpinor,
     SpinDimensionMode,
-    dirac_adjoint,
     gamma,
     lift_to_particle,
     minkowski_dot,
@@ -59,6 +58,7 @@ from .errors import (
     LabelOutOfRange,
     NodeProximity,
     NoSamples,
+    SamplerStall,
     ScenarioError,
     SimulationError,
     ValidityBreach,

@@ -173,6 +173,13 @@ def _emit_error(kind, message):
     print(json.dumps({"error": {"kind": kind, "message": message}}))
 
 
+def _worker_count(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hbdsim",
@@ -186,7 +193,8 @@ def main(argv=None) -> int:
         p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--workers", type=int, default=1)
+        if name != "checks":
+            p.add_argument("--workers", type=_worker_count, default=1)
         p.add_argument("--seed-override", type=int, default=None)
         if name == "equilibrium":
             p.add_argument("--negative-control", action="store_true",

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 SYNC_TOLERANCE = 1e-9
+BATCH_SIZE = 1024        # trajectories per integration job
 
 EVENT_NODE = "node_proximity"
 EVENT_VALIDITY = "validity_breach"
@@ -233,14 +234,15 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
 
 
 def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
-                       node_threshold: float = 0.0, workers: int = 1,
-                       batch_size: int = 1024) -> TrajectoryEnsemble:
+                       node_threshold: float = 0.0,
+                       workers: int = 1) -> TrajectoryEnsemble:
     """Integrate many trajectories from a common initial leaf.
 
     ``initial_points`` has shape (M, N, 4) with every point on Sigma_{s0}.
-    Work is split into fixed-size batches whose boundaries do not depend on
-    ``workers``; together with the chunking-independent arithmetic of the
-    batch kernels this makes the output bit-identical for any worker count.
+    Work is split into batches of ``BATCH_SIZE`` trajectories whose
+    boundaries do not depend on ``workers``; together with the
+    chunking-independent arithmetic of the batch kernels this makes the
+    output bit-identical for any worker count.
     """
     pts = np.asarray(initial_points, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 4:
@@ -252,8 +254,8 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     s_grid = _label_grid(s0, s_end, step)
 
     m_total = pts.shape[0]
-    starts = list(range(0, m_total, batch_size))
-    jobs = [(lo, min(lo + batch_size, m_total)) for lo in starts]
+    jobs = [(lo, min(lo + BATCH_SIZE, m_total))
+            for lo in range(0, m_total, BATCH_SIZE)]
 
     def run(job):
         lo, hi = job

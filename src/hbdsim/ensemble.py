@@ -28,7 +28,7 @@ import numpy as np
 
 from .currents import currents_all_batch, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
-                     LabelOutOfRange, NoSamples)
+                     LabelOutOfRange, NoSamples, SamplerStall)
 from .geometry import alpha, apply_in_slot, minkowski_norm_sq
 from .dynamics import TrajectoryEnsemble
 
@@ -221,7 +221,14 @@ class LeafDensity:
         return self._scan
 
     def rescan(self):
-        self.scan_resolution = int(self.scan_resolution * RESCAN_FACTOR) + 1
+        """Redo the scan ``RESCAN_FACTOR`` times finer; ``EnvelopeBreach``
+        if that grid would exceed ``MAX_QUADRATURE_NODES`` points."""
+        resolution = int(self.scan_resolution * RESCAN_FACTOR) + 1
+        if resolution ** self.dims > MAX_QUADRATURE_NODES:
+            raise EnvelopeBreach(
+                f"a rescan at resolution {resolution} would exceed "
+                f"{MAX_QUADRATURE_NODES} grid points")
+        self.scan_resolution = resolution
         self._scan = None
         return self.scan()
 
@@ -372,7 +379,8 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     by (seed, i), in blocks of ``PROPOSAL_BLOCK`` proposals, so the result
     is reproducible bit for bit for any execution order. A weight above the
     envelope triggers a finer rescan and a full deterministic restart, at
-    most ``MAX_RESTARTS`` attempts in all.
+    most ``MAX_RESTARTS`` attempts in all. A sample that accepts no
+    proposal within 10000 rounds raises ``SamplerStall`` at once.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
@@ -387,7 +395,9 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     span = density.axis_boxes[:, 1] - density.axis_boxes[:, 0]
 
     last_exc = None
-    for _ in range(MAX_RESTARTS):
+    for attempt in range(MAX_RESTARTS):
+        if attempt:
+            density.rescan()
         envelope = ENVELOPE_FACTOR * density.max_weight()
         try:
             flat = _rejection_fill(density, m_samples, seed, envelope,
@@ -396,9 +406,8 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
                              seed=int(seed), envelope=float(envelope))
         except EnvelopeBreach as exc:
             last_exc = exc
-            density.rescan()
     raise EnvelopeBreach(
-        f"envelope still violated after {MAX_RESTARTS} rescans: {last_exc}")
+        f"envelope still violated after {MAX_RESTARTS} attempts: {last_exc}")
 
 
 def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
@@ -409,8 +418,8 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
     while pending.size:
         rounds += 1
         if rounds > 10000:
-            raise EnvelopeBreach("rejection sampling failed to converge; "
-                                 "acceptance rate is pathologically low")
+            raise SamplerStall("rejection sampling failed to converge; "
+                               "acceptance rate is pathologically low")
         draws = np.stack([gens[i].random((PROPOSAL_BLOCK, dims + 1))
                           for i in pending])
         proposals = lo + draws[..., :dims] * span

@@ -34,6 +34,11 @@ class EnvelopeBreach(SimulationError):
     """Rejection sampling found a weight above the scanned envelope."""
 
 
+class SamplerStall(SimulationError):
+    """Rejection sampling accepted no proposal for some sample within its
+    round limit; a finer envelope cannot help, so it is not retried."""
+
+
 class BoundaryLeak(SimulationError):
     """The sampling box boundary carries non-negligible outward flux."""
 

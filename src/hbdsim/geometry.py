@@ -18,7 +18,6 @@ gamma^0 = diag(1, -1), gamma^1 = i*sigma_x in 1+1 dimensions.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,10 +31,8 @@ __all__ = [
     "minkowski_norm_sq",
     "gamma",
     "alpha",
-    "gamma0_product",
     "lift_to_particle",
     "slash",
-    "dirac_adjoint",
     "apply_in_slot",
 ]
 
@@ -124,16 +121,6 @@ def alpha(i: int, mode: SpinDimensionMode) -> np.ndarray:
     return _frozen(gamma(0, mode) @ gamma(i, mode))
 
 
-@functools.lru_cache(maxsize=None)
-def gamma0_product(n_particles: int, mode: SpinDimensionMode) -> np.ndarray:
-    """Dense product gamma_1^0 ... gamma_N^0 on the N-particle spin space."""
-    g0 = gamma(0, mode)
-    out = g0
-    for _ in range(n_particles - 1):
-        out = np.kron(out, g0)
-    return _frozen(out)
-
-
 def lift_to_particle(op: np.ndarray, k: int, n_particles: int) -> np.ndarray:
     """Embed a single-particle operator at slot k of the N-particle space.
 
@@ -184,12 +171,6 @@ class MultiSpinor:
 
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.entries, self.entries)))
-
-
-def dirac_adjoint(psi) -> np.ndarray:
-    """Row spinor psi^dagger gamma_1^0 ... gamma_N^0 of a MultiSpinor."""
-    g = gamma0_product(psi.n_particles, psi.mode)
-    return np.conj(psi.entries) @ g
 
 
 def apply_in_slot(values: np.ndarray, op: np.ndarray, k: int,

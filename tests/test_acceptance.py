@@ -13,12 +13,7 @@ import numpy as np
 
 from hbdsim import checks
 from hbdsim.cli import run_equilibrium, run_simulate
-from hbdsim.dynamics import (
-    NConfiguration,
-    integrate,
-    integrate_ensemble,
-    sample_path_at_times,
-)
+from hbdsim.dynamics import NConfiguration, integrate
 from hbdsim.ensemble import LeafDensity, equivariance_test
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile, frobenius_residual, twisted_field
 from hbdsim.geometry import SpinDimensionMode
@@ -118,52 +113,20 @@ def test_criterion_06_rk4_order():
            f"(within 16 +- 30%)")
 
 
-def _independence_runs(n_traj_n1=60, n_traj_prod=40, step=0.04, t_span=2.5):
-    # The curved runs are batched through integrate_ensemble; the
-    # per-trajectory checks.n1_/product_foliation_independence suites would
-    # integrate each of the 100 starts alone, about 5x slower.
+def test_criterion_07_foliation_independence():
+    # 60 one-particle and 40 product-state starts on the leaf s = 0 of the
+    # suites' default tanh foliation; each group has its own tolerance
     rng = np.random.default_rng(1007)
-    curved = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-60.0, 60.0]],
-                       spatial_dims=1)
-    flat = FlatTime(spatial_dims=1)
-    results = []
-
-    # one-particle runs: same spacetime start, flat vs curved foliation
+    curved = checks.default_curved_foliation(1)
     psi1 = NParticleWavefunction([
         (1.0, (make_mode([0.9], 1.0, 1, 1, D11),)),
         (0.7j, (make_mode([0.3], 1.0, 1, 1, D11),)),
         (0.4, (make_mode([-0.2], 1.0, 1, 1, D11),)),
         (0.25 - 0.3j, (make_mode([-0.9], 1.0, -1, 1, D11),)),
     ])
-    xi1 = rng.uniform(-2.0, 2.0, size=(n_traj_n1, 1, 1))
-    pts0 = curved.leaf_point(0.0, xi1[:, :, :])
-    ens_c = integrate_ensemble(psi1, curved, pts0, 0.0, 2.0 * t_span, step)
-    ens_c2 = integrate_ensemble(psi1, curved, pts0[:8], 0.0, 2.0 * t_span,
-                                step / 2)
-    est = 1e-11
-    for i in range(n_traj_n1):
-        x0 = pts0[i, 0]
-        t0 = float(x0[0])
-        bf = integrate(psi1, flat, NConfiguration(t0, x0[None]),
-                       t0 + 2.0 * t_span, step)
-        bc = ens_c.bundle(i)
-        t_lo = max(bf.points[0, 0, 0], bc.points[0, 0, 0])
-        times = np.linspace(t_lo + 1e-9, t_lo + t_span, 33)
-        qa = sample_path_at_times(psi1, flat, bf, 1, times)
-        qb = sample_path_at_times(psi1, curved, bc, 1, times)
-        dev = float(np.max(np.abs(qa - qb)))
-        if i < 8:
-            bf2 = integrate(psi1, flat, NConfiguration(t0, x0[None]),
-                            t0 + 2.0 * t_span, step / 2)
-            qa2 = sample_path_at_times(psi1, flat, bf2, 1, times)
-            qb2 = sample_path_at_times(psi1, curved, ens_c2.bundle(i), 1,
-                                       times)
-            est = max(est, float(np.max(np.abs(qa - qa2))),
-                      float(np.max(np.abs(qb - qb2))))
-        results.append(("n1", i, dev))
-
-    # product-state runs: each particle of the curved N=2 run must follow
-    # the flat one-particle run of its own factor
+    x0 = curved.leaf_point(0.0, rng.uniform(-2.0, 2.0, size=(60, 1)))
+    dev1, tol1 = checks.n1_foliation_independence(psi1, x0, step=0.04,
+                                                  t_span=2.5)
     factors = [
         [(1.0, make_mode([0.8], 1.0, 1, 1, D11)),
          (0.5, make_mode([0.2], 1.0, 1, 1, D11)),
@@ -171,49 +134,14 @@ def _independence_runs(n_traj_n1=60, n_traj_prod=40, step=0.04, t_span=2.5):
         [(1.0, make_mode([-0.6], 1.0, 1, 1, D11)),
          (0.4j, make_mode([-0.1], 1.0, 1, 1, D11))],
     ]
-    psi_prod = NParticleWavefunction.from_product_branches([(1.0, factors)])
-    singles = [NParticleWavefunction([(w, (md,)) for w, md in f])
-               for f in factors]
-    xi2 = rng.uniform(-2.0, 2.0, size=(n_traj_prod, 2, 1))
-    pts0 = np.stack([curved.leaf_point(0.0, xi2[:, k]) for k in range(2)],
-                    axis=1)
-    ens_c = integrate_ensemble(psi_prod, curved, pts0, 0.0, 2.0 * t_span,
-                               step)
-    ens_c2 = integrate_ensemble(psi_prod, curved, pts0[:4], 0.0,
-                                2.0 * t_span, step / 2)
-    for i in range(n_traj_prod):
-        bc = ens_c.bundle(i)
-        dev = 0.0
-        for k in (1, 2):
-            x0 = pts0[i, k - 1]
-            t0 = float(x0[0])
-            bf = integrate(singles[k - 1], flat, NConfiguration(t0, x0[None]),
-                           t0 + 2.0 * t_span, step)
-            t_lo = max(bf.points[0, 0, 0], bc.points[0, k - 1, 0])
-            times = np.linspace(t_lo + 1e-9, t_lo + t_span, 33)
-            qa = sample_path_at_times(singles[k - 1], flat, bf, 1, times)
-            qb = sample_path_at_times(psi_prod, curved, bc, k, times)
-            dev = max(dev, float(np.max(np.abs(qa - qb))))
-            if i < 4:
-                bf2 = integrate(singles[k - 1], flat,
-                                NConfiguration(t0, x0[None]),
-                                t0 + 2.0 * t_span, step / 2)
-                qa2 = sample_path_at_times(singles[k - 1], flat, bf2, 1, times)
-                qb2 = sample_path_at_times(psi_prod, curved, ens_c2.bundle(i),
-                                           k, times)
-                est = max(est, float(np.max(np.abs(qa - qa2))),
-                          float(np.max(np.abs(qb - qb2))))
-        results.append(("product", i, dev))
-    return results, 10.0 * est
-
-
-def test_criterion_07_foliation_independence():
-    results, tol = _independence_runs()
-    devs = np.array([d for _, _, d in results])
-    ok = len(results) == 100 and np.all(devs < tol)
+    dev2, tol2 = checks.product_foliation_independence(
+        factors, rng.uniform(-2.0, 2.0, size=(40, 2, 1)), step=0.04,
+        t_span=2.5)
+    ok = dev1 < tol1 and dev2 < tol2
     report(7, "foliation independence (N=1 and product)", ok,
-           f"{len(results)} trajectories, max deviation {devs.max():.2e} "
-           f"< tolerance {tol:.2e} (10x combined step-halving error)")
+           f"60 one-particle starts: max deviation {dev1:.2e} < tolerance "
+           f"{tol1:.2e}; 40 product starts: max deviation {dev2:.2e} < "
+           f"tolerance {tol2:.2e} (10x step-halving error)")
 
 
 def test_criterion_08_equivariance(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hbdsim import dynamics
+from hbdsim import checks, dynamics
 from hbdsim.checks import flat_reduction_deviation
 from hbdsim.currents import current_jk
 from hbdsim.dynamics import (
@@ -222,16 +222,16 @@ def test_validity_breach_event():
     assert np.array_equal(b.points[b.valid_steps + 2], b.points[b.valid_steps])
 
 
-def test_ensemble_batch_and_worker_invariance():
+def test_ensemble_batch_and_worker_invariance(monkeypatch):
     psi = entangled_psi(seed=23)
     fol = curved()
     rng = np.random.default_rng(1)
     xi = rng.uniform(-1, 1, size=(40, 2, 1))
     pts0 = np.stack([fol.leaf_point(0.0, xi[:, k]) for k in range(2)], axis=1)
-    a = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05, workers=1,
-                           batch_size=40)
-    b = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05, workers=3,
-                           batch_size=7)
+    monkeypatch.setattr(dynamics, "BATCH_SIZE", 40)
+    a = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05, workers=1)
+    monkeypatch.setattr(dynamics, "BATCH_SIZE", 7)
+    b = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05, workers=3)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.valid_steps, b.valid_steps)
     # single-trajectory runs reproduce their ensemble rows bitwise
@@ -325,3 +325,22 @@ def test_path_time_resampling_consistency():
     times = b.points[5:30, 0, 0]
     q = sample_path_at_times(psi, fol, b, 1, times)
     assert np.max(np.abs(q[:, 0] - b.points[5:30, 0, 1])) < 1e-12
+
+
+def test_foliation_independence_suites_batch_invariance():
+    # a batched call gives exactly the worst of its one-start calls
+    fol = checks.default_curved_foliation(1)
+    psi1 = NParticleWavefunction([(1.0, (make_mode([0.9], 1.0, 1, 1, D11),)),
+                                  (0.7j, (make_mode([0.3], 1.0, 1, 1, D11),))])
+    factors = [[(1.0, make_mode([0.8], 1.0, 1, 1, D11)),
+                (0.5, make_mode([0.2], 1.0, 1, 1, D11))],
+               [(1.0, make_mode([-0.6], 1.0, 1, 1, D11)),
+                (0.4j, make_mode([-0.1], 1.0, 1, 1, D11))]]
+    x0 = fol.leaf_point(0.0, np.array([[-1.0], [0.2], [1.3]]))
+    xi = np.array([[[0.5], [-0.8]], [[-1.2], [0.3]], [[0.9], [1.4]]])
+    for suite, state, starts in (
+            (checks.n1_foliation_independence, psi1, x0),
+            (checks.product_foliation_independence, factors, xi)):
+        ones = [suite(state, start, step=0.1, t_span=1.0) for start in starts]
+        assert suite(state, starts, step=0.1, t_span=1.0) == (
+            max(d for d, _ in ones), max(t for _, t in ones))

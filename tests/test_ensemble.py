@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from hbdsim import ensemble
 from hbdsim.currents import currents_all_batch, density_batch
 from hbdsim.dynamics import NConfiguration, integrate_ensemble
 from hbdsim.ensemble import (
     CDF_RESOLUTION,
+    MAX_RESTARTS,
     CrossingSet,
     LeafDensity,
     _auto_resolution,
@@ -17,8 +19,10 @@ from hbdsim.ensemble import (
 from hbdsim.errors import (
     BoundaryLeak,
     EmptyMarginal,
+    EnvelopeBreach,
     LabelOutOfRange,
     NoSamples,
+    SamplerStall,
     SimulationError,
 )
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile
@@ -347,6 +351,44 @@ def test_envelope_breach_triggers_rescan():
     ss = sample_leaf(dens, 100, seed=13)          # must rescan and recover
     assert dens.scan_resolution > coarse_resolution
     assert ss.n_samples == 100
+
+
+def _sabotaged_density(monkeypatch, weight):
+    # a packet density whose proposals all weigh ``weight``; rescans are
+    # counted and skipped
+    dens = LeafDensity(FlatTime(1), 0.0, packet_psi(FlatTime(1), sigma_p=0.5),
+                       [[[-7.0, 8.0]]], 32)
+    rescans = []
+    monkeypatch.setattr(dens, "weight_flat",
+                        lambda u: np.full(u.shape[:-1], weight))
+    monkeypatch.setattr(dens, "rescan", lambda: rescans.append(1))
+    return dens, rescans
+
+
+def test_sampler_stall_is_not_retried(monkeypatch):
+    dens, rescans = _sabotaged_density(monkeypatch, 0.0)
+    with pytest.raises(SamplerStall):
+        sample_leaf(dens, 1, seed=3)
+    assert rescans == []
+
+
+def test_rescan_only_before_a_retry(monkeypatch):
+    dens, rescans = _sabotaged_density(monkeypatch, np.inf)
+    with pytest.raises(EnvelopeBreach):
+        sample_leaf(dens, 5, seed=3)
+    assert len(rescans) == MAX_RESTARTS - 1
+
+
+def test_rescan_respects_the_grid_cap(monkeypatch):
+    dens = LeafDensity(FlatTime(1), 0.0, packet_psi(FlatTime(1), sigma_p=0.5),
+                       [[[-7.0, 8.0]]], 32)
+    dens.scan()
+    dens._scan["max_weight"] /= 10.0              # sabotage the envelope
+    resolution = dens.scan_resolution
+    monkeypatch.setattr(ensemble, "MAX_QUADRATURE_NODES", 2 * resolution)
+    with pytest.raises(EnvelopeBreach):
+        sample_leaf(dens, 100, seed=13)
+    assert dens.scan_resolution == resolution
 
 
 def test_crossings_interpolation():

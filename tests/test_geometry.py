@@ -6,9 +6,7 @@ from hbdsim.geometry import (
     SpinDimensionMode,
     alpha,
     apply_in_slot,
-    dirac_adjoint,
     gamma,
-    gamma0_product,
     lift_to_particle,
     minkowski_dot,
     slash,
@@ -147,26 +145,6 @@ def test_multispinor_validation():
         MultiSpinor(np.zeros(3), 1, D31)
     with pytest.raises(ValueError):
         MultiSpinor(np.zeros(4), 2, D31)
-
-
-def test_dirac_adjoint_rest_spinor():
-    psi = MultiSpinor(np.array([1, 0, 0, 0], dtype=complex), 1, D31)
-    assert np.array_equal(dirac_adjoint(psi), np.array([1, 0, 0, 0]))
-
-
-def test_dirac_adjoint_zero():
-    psi = MultiSpinor(np.zeros(4, dtype=complex), 2, D11)
-    assert np.array_equal(dirac_adjoint(psi), np.zeros(4))
-
-
-def test_dirac_adjoint_recovers_norm(rng):
-    # adjoint(psi) (g_1^0...g_N^0) psi = psi^dag psi >= 0
-    for mode, n in [(D31, 1), (D31, 2), (D11, 3)]:
-        dim = mode.spin_space_dim(n)
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi = MultiSpinor(v, n, mode)
-        val = dirac_adjoint(psi) @ gamma0_product(n, mode) @ v
-        assert abs(val - np.vdot(v, v)) < 1e-12 * np.vdot(v, v).real
 
 
 def test_contraction_operator_positive(rng):

@@ -231,6 +231,18 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path / "o4")]) == 2
 
 
+def test_cli_workers_option(tmp_path):
+    # --workers below 1 fails at argument parsing; checks has no --workers
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(small_scenario_dict(size=30)))
+    for argv in (["simulate", "--workers", "0"],
+                 ["equilibrium", "--workers", "-1"],
+                 ["checks", "--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--scenario", str(path), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
 def test_cli_rejects_oversized_quadrature_grid(tmp_path, capsys):
     # flat D31 with N = 2: the default order 64 asks for 64**6 joint nodes
     raw = {
