@@ -265,6 +265,53 @@ def test_slot_phases_once_per_distinct_momentum(monkeypatch):
     assert seen == [31, 31]
 
 
+def test_slot_phases_match_complex_exp():
+    # the tangent half-angle phases against numpy's complex exp: random
+    # arguments, the half-angle poles theta = (2k+1) pi with their
+    # neighbours (|tan(theta / 2)| from 4e13 to 2e18 there), and both zeros;
+    # the table holds p / 2, so 0.5 stands for p = (1, 0) and theta = x^0
+    psi = NParticleWavefunction([(1.0, (make_mode([0.3], 1.0, 1, 1, D11),))])
+    half = np.array([[0.5, 0.0, 0.0, 0.0]])
+    poles = (2.0 * np.arange(-30, 31) + 1.0) * np.pi
+    theta = np.concatenate([
+        np.random.default_rng(17).uniform(-1e4, 1e4, 100_000),
+        poles, np.nextafter(poles, np.inf), np.nextafter(poles, -np.inf),
+        [0.0, -0.0]])
+    x = np.zeros((theta.size, 4))
+    x[:, 0] = theta
+    ph = psi._slot_phases(x, half)
+    assert ph.shape == (1, theta.size)
+    assert np.max(np.abs(ph[0] - np.exp(-1j * theta))) <= 1e-15
+    assert np.max(np.abs(np.abs(ph[0]) - 1.0)) <= 1e-15
+    nan = psi._slot_phases(np.full((3, 4), np.nan), half)
+    assert np.all(np.isnan(nan.real)) and np.all(np.isnan(nan.imag))
+
+
+def test_slot_phases_bits_do_not_depend_on_the_window():
+    # numpy's SIMD tan must treat the tail of an array like its vector
+    # body: every window of the points, contiguous or strided, gives the
+    # bits of the matching slice of the whole table (31 momenta per row,
+    # so the windows also shift where each row starts in the vector lanes)
+    psi = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    half = psi._slot_half_p4s[0]
+    x = np.random.default_rng(19).normal(0.0, 6.0, size=(2 * 4097 + 16, 4))
+    whole = psi._slot_phases(x, half)
+    for lo in range(17):
+        for n in [*range(1, 18), 1023, 4097]:
+            assert np.array_equal(psi._slot_phases(x[lo:lo + n], half),
+                                  whole[:, lo:lo + n])
+            strided = slice(lo, lo + 2 * n, 2)
+            assert np.array_equal(psi._slot_phases(x[strided], half),
+                                  whole[:, strided])
+    # with one momentum, consecutive windows of n points put every point in
+    # the tail of some array, past the SIMD kernel's last full vector
+    one = psi._slot_phases(x, half[:1])
+    for n in range(1, 18):
+        pieces = [psi._slot_phases(x[lo:lo + n], half[:1])
+                  for lo in range(0, len(x), n)]
+        assert np.array_equal(np.concatenate(pieces, axis=1), one)
+
+
 def _row_independence_states():
     ma = make_mode([0.7], 1.0, 1, 1, D11)
     mb = make_mode([-0.5], 1.0, -1, 1, D11)
