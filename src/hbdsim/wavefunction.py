@@ -7,30 +7,33 @@ can be evaluated at arbitrary spacetime point tuples - mixed coordinate
 times included - without any PDE grid.
 
 Evaluation runs in two stages. The factor stage takes each particle slot
-on its own: it computes each distinct plane-wave phase of the slot once
-per point, forms the weighted spinor terms of all the slot's factor modes
-in one vectorised step, and sums each factor's terms mode after mode (no
-BLAS). The combine stage takes Kronecker products of the factor values
-over the slots and sums the branches. The slots' point arrays
-broadcast against each other, so the same kernel serves row batches (one
-point tuple per row) and tensor grids given as per-particle point sets,
-where each factor is evaluated on its own particle's points only. Every
-operation is elementwise or a sum in a fixed order, so values do not
-depend on batch shape or grid layout.
+on its own. It computes each distinct plane-wave phase of the slot once
+per point; then, factor by factor, it gathers the phases of the factor's
+modes, multiplies each by the mode's coefficient (weight x spinor, folded
+once at construction) and sums the terms mode after mode (no BLAS). The
+combine stage takes Kronecker products of the factor values over the
+slots and sums the branches. The slots' point arrays broadcast against
+each other, so the same kernel serves row batches (one point tuple per
+row) and tensor grids given as per-particle point sets, where each factor
+is evaluated on its own particle's points only. Every operation is
+elementwise or a sum in a fixed order, so values do not depend on batch
+shape or grid layout.
 
 A phase exp(-i theta), theta = p.x, comes from the tangent half-angle
-identity: with t = tan(theta / 2),
+identity: with t = tan(theta / 2) and w = -2 / (1 + t^2),
 
-    exp(-i theta) = ((1 - t^2) - 2i t) / (1 + t^2).
+    exp(-i theta) = ((1 - t^2) - 2i t) / (1 + t^2) = (-1 - w) + i t w,
 
-numpy's float64 ``tan`` is vectorised (SIMD) where the CPU allows, and
-costs a fraction of a complex ``exp`` (scalar libm) or of ``sin`` and
-``cos``. The slot tables hold p / 2, so the argument is exactly theta / 2.
-Against ``np.exp(-1j * theta)`` the error is below 3e-16 for |theta| up
-to 1e9, and |t| stays below about 1e19 (no double lies closer than about
-2^-61 to an odd multiple of pi / 2), so t^2 never overflows. The bits are
-fixed for a given machine and numpy build, across reruns, worker counts
-and batch shapes; on another CPU they may differ by an ulp, because numpy
+five real passes, the last two writing straight into the real and
+imaginary parts of the complex output. numpy's float64 ``tan`` is
+vectorised (SIMD) where the CPU allows, and costs a fraction of a complex
+``exp`` (scalar libm) or of ``sin`` and ``cos``. The slot tables hold
+p / 2, so the argument is exactly theta / 2. Against
+``np.exp(-1j * theta)`` the error is below 5e-16 for |theta| up to 1e9,
+and |t| stays below about 1e19 (no double lies closer than about 2^-61 to
+an odd multiple of pi / 2), so t^2 never overflows. The bits are fixed
+for a given machine and numpy build, across reruns, worker counts and
+batch shapes; on another CPU they may differ by an ulp, because numpy
 picks its ``tan`` kernel by CPU.
 """
 
@@ -57,7 +60,8 @@ __all__ = [
 ]
 
 BLOCK_ROWS = 4096      # rows per evaluation block; bounds the output block
-CHUNK_TERMS = 16384    # mode x component terms per factor-stage chunk
+CHUNK_TERMS = 16384    # mode x component terms of a slot's largest factor
+                       # per factor-stage chunk
 
 
 @dataclass(frozen=True)
@@ -175,34 +179,33 @@ class NParticleWavefunction:
         self.branches = tuple(branches)
         self.dim = self.mode.spin_space_dim(self.n_particles)
         # per slot: the distinct four-momenta of all its factors, compared
-        # bitwise and stored halved (exact) for the half-angle phases, and
-        # the modes of its factors, branch after branch: each mode's row in
-        # that table, its weight (m, 1) and its spinor (m, d, 1), and each
-        # factor's range of modes
+        # bitwise and stored halved (exact) for the half-angle phases; and
+        # per branch, the slot's factor as its modes' columns in that table
+        # and their coefficients weight x spinor (n_f, d, 1), folded here
         self._coeffs = [c for c, _ in branches]
         d = self.mode.spinor_dim
         self._slot_half_p4s = []
-        self._slot_tables = []
+        self._slot_factor_tables = []
         self._chunk_points = []
         for k in range(n_particles):
             slot_factors = [fs[k] for _, fs in branches]
-            modes = [wm for factor in slot_factors for wm in factor]
             columns = {}
-            cols = np.array([columns.setdefault(md.four_momentum.tobytes(),
-                                                len(columns))
-                             for _, md in modes])
-            weights = np.array([w for w, _ in modes], dtype=complex)
-            spinors = np.array([md.w for _, md in modes])
-            ends = np.cumsum([len(f) for f in slot_factors]).tolist()
+            tables = []
+            for factor in slot_factors:
+                cols = np.array([columns.setdefault(md.four_momentum.tobytes(),
+                                                    len(columns))
+                                 for _, md in factor], dtype=np.intp)
+                coef = np.array([w * md.w for w, md in factor], dtype=complex)
+                tables.append((cols, coef.reshape(len(factor), d, 1)))
             self._slot_half_p4s.append(0.5 * np.array(
                 [np.frombuffer(key) for key in columns]))
-            self._slot_tables.append((cols, weights[:, None],
-                                      spinors[:, :, None],
-                                      list(zip([0] + ends[:-1], ends))))
-            # points per factor-stage chunk: the slot's terms stay within
-            # CHUNK_TERMS, so the temporaries stay cache-sized (as one
-            # chunk of 1024 rows they cost more in page faults than in work)
-            self._chunk_points.append(max(1, CHUNK_TERMS // (len(modes) * d)))
+            self._slot_factor_tables.append(tables)
+            # points per factor-stage chunk: the slot's largest factor keeps
+            # its terms within CHUNK_TERMS, so the temporaries stay
+            # cache-sized (as one chunk of 1024 rows they cost more in page
+            # faults than in work)
+            largest = max(len(f) for f in slot_factors)
+            self._chunk_points.append(max(1, CHUNK_TERMS // (largest * d)))
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -221,21 +224,20 @@ class NParticleWavefunction:
 
     def _slot_phases(self, x, half_p4s):
         # exp(-i p.x), modes-major (M, P), for a table of halved
-        # four-momenta (M, 4) at the points x (P, 4): t = tan(p.x / 2), then
-        # ((1 - t^2) - 2i t) / (1 + t^2) in a few real elementwise steps
+        # four-momenta (M, 4) at the points x (P, 4): t = tan(p.x / 2) and
+        # w = -2 / (1 + t^2) (contiguous: passes into the strided real and
+        # imaginary views cost twice as much), then exp(-i p.x) =
+        # (-1 - w) + i t w, written straight into those views
         t = half_p4s[:, 0, None] * x[:, 0]
         for mu in self.mode.vector_indices[1:]:
             t -= half_p4s[:, mu, None] * x[:, mu]
         np.tan(t, out=t)
-        denom = t * t
-        re = 1.0 - denom
-        denom += 1.0
-        re /= denom
-        t *= -2.0
-        t /= denom
+        w = t * t
+        w += 1.0
+        np.divide(-2.0, w, out=w)
         out = np.empty(t.shape, dtype=complex)
-        out.real = re
-        out.imag = t
+        np.multiply(t, w, out=out.imag)
+        np.subtract(-1.0, w, out=out.real)
         return out
 
     def evaluate_batch(self, points) -> np.ndarray:
@@ -289,22 +291,21 @@ class NParticleWavefunction:
 
     def _slot_factors(self, k, x):
         # per branch, slot k's factor values (d, P) at the points x (P, 4),
-        # chunk by chunk: each distinct phase once, modes first, so that
-        # each factor is one sum over its range of modes
-        cols, weights, spinors, ranges = self._slot_tables[k]
+        # chunk by chunk: each distinct phase once, then per factor its
+        # modes' phases times their coefficients, modes first, summed
+        tables = self._slot_factor_tables[k]
         step = self._chunk_points[k]
         out = [np.empty((self.mode.spinor_dim, x.shape[0]), dtype=complex)
-               for _ in ranges]
+               for _ in tables]
         for lo in range(0, x.shape[0], step):
             ph = self._slot_phases(x[lo:lo + step], self._slot_half_p4s[k])
-            terms = (weights * ph[cols])[:, None, :] * spinors
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
             # from the first term, not from zero, which can only change the
             # sign of an exact zero, and the branch sum resets that
-            for f, (first, end) in zip(out, ranges):
-                np.add.reduce(terms[first:end], axis=0,
-                              out=f[:, lo:lo + step])
+            for f, (cols, coef) in zip(out, tables):
+                np.add.reduce(ph.take(cols, axis=0)[:, None, :] * coef,
+                              axis=0, out=f[:, lo:lo + step])
         return out
 
     def evaluate(self, points) -> MultiSpinor:

@@ -185,6 +185,23 @@ def test_product_factorization(rng):
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
+def _expanded_terms(branches):
+    # the term list of a branch-form state: one term per choice of a mode
+    # in every factor, its coefficient c times the chosen modes' weights
+    return [(c * np.prod([w for w, _ in combo]), [md for _, md in combo])
+            for c, factors in branches
+            for combo in itertools.product(*factors)]
+
+
+def _term_sum(terms, x):
+    # plain numpy: the sum over the terms of c * kron(w_k exp(-i p_k.x_k))
+    return np.array([
+        sum(c * kron_chain([md.w * np.exp(-1j * minkowski_dot(
+            md.four_momentum, xi[k])) for k, md in enumerate(modes)])
+            for c, modes in terms)
+        for xi in x])
+
+
 def test_branch_form_matches_term_expansion(rng):
     # the factored evaluation equals the plain-numpy sum over the expanded
     # term list of c * kron(w_k exp(-i p_k.x_k))
@@ -194,19 +211,40 @@ def test_branch_form_matches_term_expansion(rng):
           (-0.4, make_mode([0.1], 1.0, -1, 1, D11))]
     branches = [(1.0, [f1, f2]), (0.5 - 0.5j, [f2, f1])]
     psi = NParticleWavefunction.from_product_branches(branches)
-    terms = [(c * np.prod([w for w, _ in combo]), [md for _, md in combo])
-             for c, factors in branches
-             for combo in itertools.product(*factors)]
+    terms = _expanded_terms(branches)
     assert len(terms) == 8
     x = rng.normal(size=(6, 2, 4))
     x[..., 2:] = 0.0
-    expected = np.array([
-        sum(c * kron_chain([md.w * np.exp(-1j * minkowski_dot(
-            md.four_momentum, xi[k])) for k, md in enumerate(modes)])
-            for c, modes in terms)
-        for xi in x])
+    expected = _term_sum(terms, x)
     got = psi.evaluate_batch(x)
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+def test_shared_and_repeated_momenta_match_term_expansion(rng):
+    # factor modes that share a column of the slot's momentum table: the
+    # headline state's 38 modes per slot over 31 momenta shared between
+    # branches, and a D31 factor listing one four-momentum twice with spin
+    # labels 1 and 2, two modes in one column whose weighted spinors must
+    # stay apart
+    headline = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    p = [0.3, -0.2, 0.5]
+    up, down = (make_mode(p, 1.0, 1, s, D31) for s in (1, 2))
+    other = make_mode([-0.4, 0.1, 0.0], 1.0, -1, 2, D31)
+    assert up.four_momentum.tobytes() == down.four_momentum.tobytes()
+    d31 = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(0.7, up), (0.5 - 0.4j, down), (0.3j, other)],
+                [(1.0, other), (0.2, up)]]),
+         (0.4 - 0.6j, [[(1.0, down)], [(0.9j, up), (-0.5, down)]])])
+    for psi, modes, distinct in [(headline, 38, 31), (d31, 4, 2)]:
+        for k in range(2):
+            tables = psi._slot_factor_tables[k]
+            assert sum(len(cols) for cols, _ in tables) == modes
+            assert len(psi._slot_half_p4s[k]) == distinct
+        x = rng.normal(0.0, 4.0, size=(5, 2, 4))
+        x[..., 1 + psi.mode.spatial_dims:] = 0.0
+        expected = _term_sum(_expanded_terms(psi.branches), x)
+        got = psi.evaluate_batch(x)
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
 
 
 def test_dirac_residual_rest_mode():
@@ -324,7 +362,7 @@ def _row_independence_states():
     d11 = NParticleWavefunction.from_product_branches(
         [(1.0, [[(1.0, ma), (0.4j, mb)], [(0.5, mb), (0.3, mc)]]),
          (0.3 - 0.2j, [[(1.0, mc)], [(0.7, ma), (1.0, mb)]]),
-         (0.6j, [wide, [(1.0, ma)]])])
+         (0.6j, [wide, wide[::2]])])
     comb = [(0.9 ** (a + b) * (1.0 - 0.2j * a),
              make_mode([0.3 * a - 0.3, 0.2 * b - 0.2, 0.1], 1.0,
                        1 if (a + b) % 4 else -1, 1 + (a * b) % 2, D31))
@@ -340,6 +378,8 @@ def test_blocked_evaluation_is_row_independent():
     x = np.random.default_rng(11).normal(0.0, 4.0, size=(5000, 2, 4))
     assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS
     for psi in _row_independence_states():
+        # the first block crosses a factor-stage chunk boundary in every slot
+        assert all(step < BLOCK_ROWS for step in psi._chunk_points)
         whole = psi.evaluate_batch(x)
         assert whole.shape == (5000, psi.dim) and whole.flags.c_contiguous
         for batch in (1, 2, 7):
