@@ -7,7 +7,6 @@ quantum-equilibrium equivariance.
 """
 
 from .geometry import (
-    MultiSpinor,
     SpinDimensionMode,
     gamma,
     lift_to_particle,

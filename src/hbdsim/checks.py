@@ -41,25 +41,26 @@ HALVING_STARTS = 4   # starts whose foliation-independence runs are redone
 # random draw helpers
 # ---------------------------------------------------------------------------
 
-def random_state(rng, n_particles, mode, mass=1.0, n_terms=3,
-                 p_scale=1.0) -> NParticleWavefunction:
-    """A generic entangled state: random modes, random complex coefficients."""
+def random_state(rng, n_particles, mode) -> NParticleWavefunction:
+    """A generic entangled state: three terms of unit-mass modes with
+    standard-normal momenta, and random complex coefficients."""
     terms = []
-    for _ in range(n_terms):
+    for _ in range(3):
         modes = []
         for _ in range(n_particles):
-            p = rng.normal(0.0, p_scale, size=mode.spatial_dims)
+            p = rng.normal(0.0, 1.0, size=mode.spatial_dims)
             sign = 1 if rng.random() < 0.8 else -1
             label = int(rng.integers(1, 3)) if mode is D31 else 1
-            modes.append(make_mode(p, mass, sign, label, mode))
+            modes.append(make_mode(p, 1.0, sign, label, mode))
         coeff = complex(rng.normal(), rng.normal())
         terms.append((coeff, tuple(modes)))
     return NParticleWavefunction(terms)
 
 
-def random_curved_foliation(rng, spatial_dims, max_slope=0.6):
+def random_curved_foliation(rng, spatial_dims):
+    """A tanh graph foliation with the profile's slope a * b below 0.6."""
     a = rng.uniform(0.3, 1.2)
-    b = rng.uniform(0.2, max_slope / a)
+    b = rng.uniform(0.2, 0.6 / a)
     box = np.repeat([[-50.0, 50.0]], spatial_dims, axis=0)
     return GraphLeaf(TanhProfile(a, b), validity_box=box,
                      spatial_dims=spatial_dims)
@@ -429,7 +430,7 @@ CHECK_NAMES = [
 ]
 
 
-def run_all(scenario=None, seed=12345, gamma_fn=None, draws_scale=1.0):
+def run_all(scenario=None, seed=12345, gamma_fn=None):
     """Run every invariant suite; returns a JSON-ready report dict."""
     gamma_fn = gamma_fn or geometry.gamma
     rng = np.random.default_rng(seed)
@@ -452,31 +453,30 @@ def run_all(scenario=None, seed=12345, gamma_fn=None, draws_scale=1.0):
     add("lifted_commutators", stat, 1e-12, stat < 1e-12,
         "operators of distinct particles commute")
 
-    stat = contraction_positivity_min_eig(rng, draws=int(100 * draws_scale))
+    stat = contraction_positivity_min_eig(rng, draws=100)
     add("operator_positivity", stat, -1e-10, stat >= -1e-10,
         "min eigenvalue of the normal-contraction operator")
 
-    stat = mode_spinor_residual(rng, draws=int(100 * draws_scale))
+    stat = mode_spinor_residual(rng, draws=100)
     add("mode_spinors", stat, 1e-12, stat < 1e-12,
         "momentum-space equation residual and normalization")
 
-    stat = k_independence_spread(rng, draws=int(1000 * draws_scale))
+    stat = k_independence_spread(rng, draws=1000)
     add("k_independence", stat, 1e-10, stat < 1e-10,
         "relative spread of {j_k . n_k}")
 
-    min_rho, min_causal, min_j0 = positivity_stats(
-        rng, draws=int(10000 * draws_scale))
+    min_rho, min_causal, min_j0 = positivity_stats(rng, draws=10000)
     add("current_positivity", min_rho, -1e-12,
         min_rho >= -1e-12 and min_causal >= -1e-10 and min_j0 > 0.0,
         f"min rho/scale; causality margin {min_causal:.3e}, "
         f"min j^0 {min_j0:.3e}")
 
-    ratios = divergence_richardson_ratios(rng, configs=int(100 * draws_scale))
+    ratios = divergence_richardson_ratios(rng, configs=100)
     stat = float(np.max(np.abs(ratios - 4.0)))
     add("divergence_order", stat, 0.8, stat < 0.8,
         f"Richardson ratios on {len(ratios)} configurations")
 
-    ratios = dirac_richardson_ratios(rng, draws=int(25 * draws_scale))
+    ratios = dirac_richardson_ratios(rng, draws=25)
     stat = float(np.max(np.abs(ratios - 4.0)))
     add("dirac_equation_order", stat, 0.8, stat < 0.8,
         "central-difference order of the multi-time equation residual")

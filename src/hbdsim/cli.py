@@ -57,7 +57,7 @@ def _node_threshold(scenario: Scenario, density):
     return scenario.integration.node_threshold_factor * density.max_rho()
 
 
-def run_simulate(scenario: Scenario, outdir, workers=1, seed_override=None):
+def run_simulate(scenario: Scenario, outdir, seed_override=None):
     """Integrate the listed initial configurations; write CSV artifacts.
 
     The node threshold is ``node_threshold_factor`` times the largest rho
@@ -81,8 +81,7 @@ def run_simulate(scenario: Scenario, outdir, workers=1, seed_override=None):
 
     ens = integrate_ensemble(scenario.psi, scenario.foliation, pts0,
                              scenario.integration.s0, scenario.integration.s1,
-                             scenario.integration.step, threshold,
-                             workers=workers)
+                             scenario.integration.step, threshold)
     write_trajectories_csv(outdir / "trajectories.csv", ens, scenario.mode,
                            scenario.content_hash, seed)
     write_events_csv(outdir / "events.csv", ens.events, scenario.content_hash,
@@ -193,10 +192,9 @@ def main(argv=None) -> int:
         p.add_argument("--scenario", required=True,
                        help="path to a scenario JSON file")
         p.add_argument("--out", required=True, help="output directory")
-        if name != "checks":
-            p.add_argument("--workers", type=_worker_count, default=1)
         p.add_argument("--seed-override", type=int, default=None)
         if name == "equilibrium":
+            p.add_argument("--workers", type=_worker_count, default=1)
             p.add_argument("--negative-control", action="store_true",
                            help="compare against the flat-normal density "
                             "(the test must fail)")
@@ -210,7 +208,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "simulate":
-            run_simulate(scenario, args.out, args.workers, args.seed_override)
+            run_simulate(scenario, args.out, args.seed_override)
             return 0
         if args.command == "equilibrium":
             payload = run_equilibrium(scenario, args.out, args.workers,

@@ -94,7 +94,7 @@ def current_jk(psi, k, points, normals) -> np.ndarray:
     n = psi.n_particles
     mode = psi.mode
     normals = _check_normals(normals, n)
-    v = psi.evaluate(points).entries
+    v = psi.evaluate(points)
     scale = float(np.real(np.vdot(v, v)))
 
     factors = [_contraction_factor(normals[l], mode) for l in range(n)]
@@ -114,7 +114,7 @@ def density_rho(psi, points, normals) -> float:
     n = psi.n_particles
     mode = psi.mode
     normals = _check_normals(normals, n)
-    v = psi.evaluate(points).entries
+    v = psi.evaluate(points)
     scale = float(np.real(np.vdot(v, v)))
 
     op = None

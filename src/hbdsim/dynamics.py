@@ -121,9 +121,9 @@ class TrajectoryEnsemble:
 def _flow(psi, foliation, x):
     """Velocity field data at a batch of configurations x (..., N, 4).
 
-    Returns (v, rho, j, denom, grad_ok): the parametrized velocities
-    j_k/(df.j_k), the density j_1.n_1, the raw currents, the denominators
-    df.j_k, and a mask of rows whose gradient is timelike.
+    Returns (v, rho, j, grad_ok): the parametrized velocities
+    j_k/(df.j_k), the density j_1.n_1, the raw currents, and a mask of rows
+    whose gradient is timelike.
     """
     grads = foliation.gradient(x)
     nn = minkowski_norm_sq(grads)
@@ -135,7 +135,7 @@ def _flow(psi, foliation, x):
         rho = minkowski_dot(j[..., 0, :], normals[..., 0, :])
         denom = minkowski_dot(grads, j)
         v = j / denom[..., None]
-    return v, rho, j, denom, grad_ok
+    return v, rho, j, grad_ok
 
 
 def _label_grid(s0, s_end, step):
@@ -165,7 +165,7 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
     bad_grad = np.zeros(batch, dtype=bool)
 
     def stage(x):
-        v, rho, j, _, ok = _flow(psi, foliation, x)
+        v, rho, j, ok = _flow(psi, foliation, x)
         nonlocal bad_node, bad_grad
         bad_grad |= ~ok
         bad_node |= ok & ~(rho > node_threshold)
@@ -312,7 +312,7 @@ def bd_flat_velocity(psi, t, positions, node_threshold: float = 0.0):
     x = np.zeros((psi.n_particles, 4))
     x[:, 0] = t
     x[:, 1:1 + sd] = q
-    v = psi.evaluate(x).entries
+    v = psi.evaluate(x)
     norm_sq = float(np.real(np.vdot(v, v)))
     if not norm_sq > node_threshold:
         raise NodeProximity(t, f"psi^dag psi below node threshold at t={t}")
@@ -357,7 +357,7 @@ def sample_path_at_times(psi, foliation, bundle: TrajectoryBundle, k, times):
     """
     top = bundle.valid_steps + 1
     pts = bundle.points[:top, k - 1, :]
-    v, _, _, _, _ = _flow(psi, foliation, bundle.points[:top])
+    v, _, _, _ = _flow(psi, foliation, bundle.points[:top])
     vk = v[:, k - 1, :]
     tgrid = pts[:, 0]
     if np.any(np.diff(tgrid) <= 0):

@@ -29,7 +29,7 @@ import numpy as np
 from .currents import currents_all_batch, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
                      LabelOutOfRange, NoSamples, SamplerStall)
-from .geometry import alpha, apply_in_slot, minkowski_norm_sq
+from .geometry import alpha, lift_to_particle, minkowski_norm_sq
 from .dynamics import TrajectoryEnsemble
 
 __all__ = [
@@ -602,10 +602,8 @@ def flat_continuity_residual(psi, t, grid, h_t, h_x):
         for i in range(sd):
             vp = values_at(0.0, k, i, +h_x)
             vm = values_at(0.0, k, i, -h_x)
-            op = alpha(i + 1, psi.mode)
-            jp = np.real(np.sum(
-                np.conj(vp) * apply_in_slot(vp, op, k, n, psi.mode), axis=-1))
-            jm = np.real(np.sum(
-                np.conj(vm) * apply_in_slot(vm, op, k, n, psi.mode), axis=-1))
+            op = lift_to_particle(alpha(i + 1, psi.mode), k, n)
+            jp = np.real(np.sum(np.conj(vp) * (vp @ op.T), axis=-1))
+            jm = np.real(np.sum(np.conj(vm) * (vm @ op.T), axis=-1))
             res = res + (jp - jm) / (2.0 * h_x)
     return res

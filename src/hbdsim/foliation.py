@@ -3,10 +3,13 @@
 A foliation is described by a function f whose level sets are the leaves.
 Three variants are provided:
 
-* ``FlatTime``            f(x) = x^0 (equal-time hyperplanes of a frame);
 * ``ConstantNormal``      f(x) = n.x for a fixed future timelike unit n
                           (tilted hyperplanes, the constant solution of the
                           toy evolution law with vanishing normal gradient);
+* ``FlatTime``            f(x) = x^0, i.e. ``ConstantNormal`` at n = e0:
+                          the equal-time hyperplanes of the paper's
+                          distinguished frame, on which the hypersurface
+                          model is Bohm's N-Dirac model;
 * ``GraphLeaf``           f(x) = x^0 - h(spatial x), leaves are graphs
                           x^0 = s + h(xi) over a fixed spatial slice.
 
@@ -128,39 +131,13 @@ class Foliation:
         return AffineRelabeled(self, alpha, beta)
 
 
-class FlatTime(Foliation):
-    """f(x) = x^0; the equal-time foliation of the coordinate frame."""
-
-    def label(self, x):
-        return np.asarray(x, dtype=float)[..., 0]
-
-    def gradient(self, x):
-        x = np.asarray(x)
-        g = np.zeros(x.shape[:-1] + (4,))
-        g[..., 0] = 1.0
-        return g
-
-    def leaf_point(self, s, xi):
-        xi = np.asarray(xi, dtype=float)
-        x = np.zeros(xi.shape[:-1] + (4,))
-        x[..., 0] = s
-        x[..., 1:1 + self.spatial_dims] = xi
-        return x
-
-    def chart_coords(self, x):
-        return np.asarray(x, dtype=float)[..., 1:1 + self.spatial_dims]
-
-    def area_element(self, s, xi):
-        xi = np.asarray(xi)
-        return np.ones(xi.shape[:-1])
-
-
 class ConstantNormal(Foliation):
     """f(x) = n.x with n a fixed future-oriented unit timelike vector.
 
     Charts use a Minkowski-orthonormal spatial triad obtained from the
-    coordinate axes by Gram-Schmidt against n, so for n = (1,0,0,0) labels,
-    normals and charts coincide bitwise with FlatTime.
+    coordinate axes by Gram-Schmidt against n, so for n = (1,0,0,0) the
+    triad is the coordinate axes and the chart coordinates are the spatial
+    components.
     """
 
     def __init__(self, n, spatial_dims=3, validity_box=None):
@@ -211,10 +188,15 @@ class ConstantNormal(Foliation):
         return np.ones(xi.shape[:-1])
 
 
+class FlatTime(ConstantNormal):
+    """f(x) = x^0; the equal-time foliation of the coordinate frame."""
+
+    def __init__(self, spatial_dims, validity_box=None):
+        super().__init__((1.0, 0.0, 0.0, 0.0), spatial_dims, validity_box)
+
+
 class TanhProfile:
     """h(xi) = a * tanh(b * xi_1): one monotone gradient ramp."""
-
-    name = "tanh"
 
     def __init__(self, a, b):
         self.a = float(a)
@@ -228,14 +210,9 @@ class TanhProfile:
         g[..., 0] = self.a * self.b / np.cosh(self.b * xi[..., 0]) ** 2
         return g
 
-    def params(self):
-        return {"a": self.a, "b": self.b}
-
 
 class RippleProfile:
     """h(xi) = a * sin(b * xi_1) * exp(-xi_1^2 / w^2): an oscillatory bump."""
-
-    name = "ripple"
 
     def __init__(self, a, b, w):
         self.a = float(a)
@@ -253,9 +230,6 @@ class RippleProfile:
         g[..., 0] = self.a * env * (self.b * np.cos(self.b * u)
                                     - (2.0 * u / self.w ** 2) * np.sin(self.b * u))
         return g
-
-    def params(self):
-        return {"a": self.a, "b": self.b, "w": self.w}
 
 
 class GraphLeaf(Foliation):

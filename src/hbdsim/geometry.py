@@ -18,27 +18,19 @@ gamma^0 = diag(1, -1), gamma^1 = i*sigma_x in 1+1 dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "SpinDimensionMode",
-    "MultiSpinor",
-    "METRIC_DIAGONAL",
     "minkowski_dot",
     "minkowski_norm_sq",
     "gamma",
     "alpha",
     "lift_to_particle",
     "slash",
-    "apply_in_slot",
 ]
-
-# diag(eta^{mu nu})
-METRIC_DIAGONAL = np.array([1.0, -1.0, -1.0, -1.0])
-METRIC_DIAGONAL.setflags(write=False)
 
 
 class SpinDimensionMode(Enum):
@@ -149,54 +141,3 @@ def slash(v, mode: SpinDimensionMode = SpinDimensionMode.D31) -> np.ndarray:
             continue
         out = out - v[mu] * gamma(mu, mode)
     return out
-
-
-@dataclass(frozen=True)
-class MultiSpinor:
-    """A vector in the N-particle spin space (dimension spinor_dim**N)."""
-
-    entries: np.ndarray
-    n_particles: int
-    mode: SpinDimensionMode
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        expected = self.mode.spin_space_dim(self.n_particles)
-        if entries.shape != (expected,):
-            raise ValueError(
-                f"multi-spinor must have shape ({expected},), got {entries.shape}")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.entries, self.entries)))
-
-
-def apply_in_slot(values: np.ndarray, op: np.ndarray, k: int,
-                  n_particles: int, mode: SpinDimensionMode) -> np.ndarray:
-    """Apply a per-particle operator at slot k to a batch of spin vectors.
-
-    ``values`` has shape (..., D) with D = spinor_dim**N and ``op`` is one
-    (d, d) matrix. The contraction is written as an explicit fixed-order
-    loop over the d x d entries so results do not depend on batch shape.
-    """
-    d = mode.spinor_dim
-    if not 1 <= k <= n_particles:
-        raise ValueError(f"particle index {k} out of range 1..{n_particles}")
-    lead = values.shape[:-1]
-    dl = d ** (k - 1)
-    dr = d ** (n_particles - k)
-    v = values.reshape(lead + (dl, d, dr))
-    out = np.zeros_like(v)
-    for a in range(d):
-        acc = None
-        for b in range(d):
-            c = op[a, b]
-            if c == 0:
-                continue
-            term = c * v[..., :, b, :]
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[..., a, :] = acc
-    return out.reshape(values.shape)

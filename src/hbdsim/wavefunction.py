@@ -44,13 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError
-from .geometry import (
-    MultiSpinor,
-    SpinDimensionMode,
-    apply_in_slot,
-    gamma,
-    slash,
-)
+from .geometry import SpinDimensionMode, gamma, lift_to_particle, slash
 
 __all__ = [
     "PlaneWaveMode",
@@ -308,12 +302,12 @@ class NParticleWavefunction:
                               axis=0, out=f[:, lo:lo + step])
         return out
 
-    def evaluate(self, points) -> MultiSpinor:
-        """psi at one tuple of N spacetime points."""
+    def evaluate(self, points) -> np.ndarray:
+        """psi at one tuple of N spacetime points, shape (N, 4) -> (D,)."""
         x = np.asarray(points, dtype=float)
         if x.shape != (self.n_particles, 4):
             raise ValueError(f"expected {self.n_particles} spacetime points")
-        return MultiSpinor(self.evaluate_batch(x), self.n_particles, self.mode)
+        return self.evaluate_batch(x)
 
 
 def dirac_residual(psi: NParticleWavefunction, k: int, x, h: float) -> float:
@@ -338,6 +332,6 @@ def dirac_residual(psi: NParticleWavefunction, k: int, x, h: float) -> float:
     slashed = np.zeros(psi.dim, dtype=complex)
     for j, mu in enumerate(mus):
         dpsi = (vals[2 * j] - vals[2 * j + 1]) / (2.0 * h)
-        slashed += apply_in_slot(dpsi, gamma(mu, psi.mode), k, n, psi.mode)
+        slashed += lift_to_particle(gamma(mu, psi.mode), k, n) @ dpsi
     center = psi.evaluate_batch(x)
     return float(np.linalg.norm(1j * slashed - psi.mass * center))

@@ -67,8 +67,8 @@ def test_product_state_current_factorizes(rng):
     normals = np.tile(FLAT_N, (2, 1))
     j1 = current_jk(psi, 1, x, normals)
 
-    p1 = NParticleWavefunction([(1.0, (m1,))]).evaluate(x[0][None]).entries
-    p2 = NParticleWavefunction([(1.0, (m2,))]).evaluate(x[1][None]).entries
+    p1 = NParticleWavefunction([(1.0, (m1,))]).evaluate(x[0][None])
+    p2 = NParticleWavefunction([(1.0, (m2,))]).evaluate(x[1][None])
     norm2 = float(np.real(np.vdot(p2, p2)))
     for mu in (0, 1):
         single = np.conj(p1) @ gamma(0, D11) @ gamma(mu, D11) @ p1
@@ -80,7 +80,7 @@ def test_flat_time_component_is_norm(rng):
     x = rng.normal(size=(2, 4))
     x[:, 2:] = 0.0
     normals = np.tile(FLAT_N, (2, 1))
-    v = psi.evaluate(x).entries
+    v = psi.evaluate(x)
     for k in (1, 2):
         j = current_jk(psi, k, x, normals)
         assert abs(j[0] - np.real(np.vdot(v, v))) < 1e-12 * abs(j[0])
@@ -91,7 +91,7 @@ def test_density_rho_flat_is_norm(rng):
     x = rng.normal(size=(2, 4))
     x[:, 2:] = 0.0
     normals = np.tile(FLAT_N, (2, 1))
-    v = psi.evaluate(x).entries
+    v = psi.evaluate(x)
     assert abs(density_rho(psi, x, normals) - np.real(np.vdot(v, v))) < 1e-12
 
 
@@ -171,7 +171,7 @@ def test_current_oracle_dense_kron(rng):
     # replaced) from scratch with numpy only
     psi = entangled_pair(seed=17)
     pts, normals = leaf_tuple(psi, seed=23)
-    v = psi.evaluate(pts).entries
+    v = psi.evaluate(pts)
     g0 = gamma(0, D11)
     psibar = np.conj(v) @ kron_chain([g0, g0])
     for k in (1, 2):
@@ -194,7 +194,7 @@ def test_flat_reduction_spatial_parts(rng):
     x = rng.normal(size=(2, 4))
     x[:, 2:] = 0.0
     normals = np.tile(FLAT_N, (2, 1))
-    v = psi.evaluate(x).entries
+    v = psi.evaluate(x)
     for k in (1, 2):
         j = current_jk(psi, k, x, normals)
         op = lift_to_particle(alpha(1, D11), k, 2)

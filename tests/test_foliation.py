@@ -25,15 +25,24 @@ def test_flat_labels():
 
 
 def test_constant_normal_reduces_to_flat_bitwise(rng):
-    flat = FlatTime(spatial_dims=3)
-    tilted = ConstantNormal([1, 0, 0, 0], spatial_dims=3)
-    x = rng.normal(size=(20, 4))
-    assert np.array_equal(flat.label(x), tilted.label(x))
-    assert np.array_equal(flat.normal(x), tilted.normal(x))
-    xi = rng.normal(size=(20, 3))
-    s = rng.normal(size=20)
-    assert np.array_equal(flat.leaf_point(s, xi), tilted.leaf_point(s, xi))
-    assert np.array_equal(flat.chart_coords(x), tilted.chart_coords(x))
+    # FlatTime is ConstantNormal at e0; pin it to the equal-time formulas
+    for sd in (1, 3):
+        fol = FlatTime(sd)
+        x = rng.normal(size=(20, 4))
+        v = rng.normal(size=(20, 4))
+        e0 = np.tile([1.0, 0.0, 0.0, 0.0], (20, 1))
+        assert np.array_equal(fol.label(x), x[:, 0])
+        assert np.array_equal(fol.gradient(x), e0)
+        assert np.array_equal(fol.normal(x), e0)
+        assert np.array_equal(fol.chart_coords(x), x[:, 1:1 + sd])
+        assert np.array_equal(fol.chart_velocity(x, v), v[:, 1:1 + sd])
+        xi = rng.normal(size=(20, sd))
+        for s in (rng.normal(), rng.normal(size=20)):
+            expected = np.zeros((20, 4))
+            expected[:, 0] = s
+            expected[:, 1:1 + sd] = xi
+            assert np.array_equal(fol.leaf_point(s, xi), expected)
+            assert np.array_equal(fol.area_element(s, xi), np.ones(20))
 
 
 def test_graph_label_example():

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from hbdsim.geometry import (
-    MultiSpinor,
     SpinDimensionMode,
     alpha,
-    apply_in_slot,
     gamma,
     lift_to_particle,
     minkowski_dot,
@@ -138,15 +136,6 @@ def test_slash_clifford_contraction(rng):
                                atol=1e-12)
 
 
-def test_multispinor_validation():
-    MultiSpinor(np.zeros(4), 1, D31)
-    MultiSpinor(np.zeros(4), 2, D11)
-    with pytest.raises(ValueError):
-        MultiSpinor(np.zeros(3), 1, D31)
-    with pytest.raises(ValueError):
-        MultiSpinor(np.zeros(4), 2, D31)
-
-
 def test_contraction_operator_positive(rng):
     # (g_1^0 g_1.n_1)...(g_N^0 g_N.n_N) is positive semidefinite for
     # future-oriented unit timelike normals
@@ -172,16 +161,3 @@ def test_alpha_matrices():
             assert np.array_equal(alpha(i, mode), gamma(0, mode) @ gamma(i, mode))
     with pytest.raises(ValueError):
         alpha(2, D11)
-
-
-def test_apply_in_slot_matches_dense(rng):
-    for mode, n in [(D11, 2), (D11, 3), (D31, 2)]:
-        d = mode.spinor_dim
-        dim = mode.spin_space_dim(n)
-        vals = rng.normal(size=(7, dim)) + 1j * rng.normal(size=(7, dim))
-        op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        for k in range(1, n + 1):
-            dense = lift_to_particle(op, k, n)
-            got = apply_in_slot(vals, op, k, n, mode)
-            expected = vals @ dense.T
-            assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))

@@ -232,7 +232,8 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_workers_option(tmp_path):
-    # --workers below 1 fails at argument parsing; checks has no --workers
+    # --workers below 1 fails at argument parsing; only equilibrium has
+    # --workers, so simulate and checks reject it as an unknown argument
     path = tmp_path / "good.json"
     path.write_text(json.dumps(small_scenario_dict(size=30)))
     for argv in (["simulate", "--workers", "0"],
@@ -498,7 +499,7 @@ def test_checks_cli(tmp_path):
     from hbdsim import checks as checks_mod
     from hbdsim import geometry
 
-    rep = checks_mod.run_all(seed=5, draws_scale=0.05)
+    rep = checks_mod.run_all(seed=5)
     assert rep["all_passed"]
 
     def corrupt(mu, mode):
@@ -507,7 +508,7 @@ def test_checks_cli(tmp_path):
             g = g + 0.01
         return g
 
-    rep_bad = checks_mod.run_all(seed=5, draws_scale=0.05, gamma_fn=corrupt)
+    rep_bad = checks_mod.run_all(seed=5, gamma_fn=corrupt)
     bad = {c["name"]: c["passed"] for c in rep_bad["checks"]}
     assert not bad["clifford"]
     assert not rep_bad["all_passed"]
