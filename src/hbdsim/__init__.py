@@ -32,8 +32,6 @@ from .foliation import (
 )
 from .currents import current_jk, density_rho, divergence_residual
 from .dynamics import (
-    NConfiguration,
-    TrajectoryBundle,
     TrajectoryEnsemble,
     bd_flat_velocity,
     integrate,

@@ -16,7 +16,6 @@ import numpy as np
 from . import geometry
 from .currents import currents_all_batch, density_batch, divergence_residual
 from .dynamics import (
-    NConfiguration,
     integrate,
     integrate_ensemble,
     integrate_flat_bd,
@@ -71,8 +70,7 @@ def random_leaf_tuples(rng, foliation, n_particles, batch):
     sd = foliation.spatial_dims
     s = rng.uniform(-2.0, 2.0, size=batch)
     xi = rng.uniform(-3.0, 3.0, size=(batch, n_particles, sd))
-    pts = np.stack([foliation.leaf_point(s, xi[:, k, :])
-                    for k in range(n_particles)], axis=1)
+    pts = foliation.leaf_point(s[:, None], xi)
     return pts, foliation.normal(pts)
 
 
@@ -103,9 +101,9 @@ def hermiticity_deviation(gamma_fn=geometry.gamma) -> float:
     return worst
 
 
-def lifted_commutator_deviation(rng, draws=50) -> float:
+def lifted_commutator_deviation(rng) -> float:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(50):
         mode = D31 if rng.random() < 0.5 else D11
         n = int(rng.integers(2, 4))
         k, l = rng.choice(np.arange(1, n + 1), size=2, replace=False)
@@ -132,10 +130,11 @@ def random_unit_normal(rng, mode):
     return n
 
 
-def contraction_positivity_min_eig(rng, draws=100) -> float:
-    """Smallest eigenvalue of (gamma_1^0 gamma_1.n_1)...(gamma_N^0 gamma_N.n_N)."""
+def contraction_positivity_min_eig(rng) -> float:
+    """Smallest eigenvalue of (gamma_1^0 gamma_1.n_1)...(gamma_N^0 gamma_N.n_N)
+    over 100 random draws."""
     worst = np.inf
-    for _ in range(draws):
+    for _ in range(100):
         mode = D31 if rng.random() < 0.5 else D11
         n_particles = int(rng.integers(1, 3))
         op = None
@@ -147,9 +146,9 @@ def contraction_positivity_min_eig(rng, draws=100) -> float:
     return worst
 
 
-def mode_spinor_residual(rng, draws=100) -> float:
+def mode_spinor_residual(rng) -> float:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(100):
         mode = D31 if rng.random() < 0.5 else D11
         mass = float(rng.uniform(0.0, 2.0))
         p = rng.normal(0, 1.5, size=mode.spatial_dims)
@@ -168,8 +167,9 @@ def mode_spinor_residual(rng, draws=100) -> float:
 # current suites
 # ---------------------------------------------------------------------------
 
-def k_independence_spread(rng, draws=1000, modes=(D11, D31)) -> float:
+def k_independence_spread(rng, draws=1000) -> float:
     """Max relative spread of {j_k.n_k} over random entangled draws."""
+    modes = (D11, D31)
     worst = 0.0
     batch = 50
     done = 0
@@ -224,7 +224,8 @@ def positivity_stats(rng, draws=10000):
     return min_rho, min_causal, min_j0
 
 
-def divergence_richardson_ratios(rng, configs=100, h=2e-2):
+def divergence_richardson_ratios(rng, configs=100):
+    h = 2e-2
     ratios = []
     for _ in range(configs):
         mode = D11 if rng.random() < 0.7 else D31
@@ -240,9 +241,10 @@ def divergence_richardson_ratios(rng, configs=100, h=2e-2):
     return np.array(ratios)
 
 
-def dirac_richardson_ratios(rng, draws=25, h=2e-2):
+def dirac_richardson_ratios(rng):
+    h = 2e-2
     ratios = []
-    for _ in range(draws):
+    for _ in range(25):
         mode = D11 if rng.random() < 0.7 else D31
         n = int(rng.integers(1, 3))
         psi = random_state(rng, n, mode)
@@ -277,14 +279,14 @@ def flat_reduction_deviation(psi, q0, s0, s1, step):
     sd = psi.mode.spatial_dims
     flat = FlatTime(spatial_dims=sd)
     q0 = np.asarray(q0, dtype=float)
-    start = NConfiguration(s0, flat.leaf_point(s0, q0))
+    start = flat.leaf_point(s0, q0)
 
     def paths(h):
-        b = integrate(psi, flat, start, s1, h)
+        run = integrate(psi, flat, start, s0, s1, h)
         t, q = integrate_flat_bd(psi, s0, s1, h, q0)
-        if not np.array_equal(t, b.s_grid):
+        if not np.array_equal(t, run.s_grid):
             raise ConsistencyError("covariant and flat-frame grids differ")
-        return b.points[..., 1:1 + sd], q
+        return run.points[0, ..., 1:1 + sd], q
 
     qa, qb = paths(step)
     qa2, qb2 = paths(step / 2)
@@ -312,35 +314,33 @@ def _independence(psi, singles, curved, s0, pts0, step, t_span):
 
     def run_flat(psi_k, x0, h):
         t0 = float(x0[0])
-        return integrate(psi_k, flat, NConfiguration(t0, x0[None]),
-                         t0 + 2.0 * t_span, h)
+        return integrate(psi_k, flat, x0[None], t0, t0 + 2.0 * t_span, h)
 
     dev = est = 0.0
     for i in range(len(pts0)):
-        bc = runs.bundle(i)
         for k, psi_k in enumerate(singles):
-            bf = run_flat(psi_k, pts0[i, k], step)
-            t_lo = max(bc.points[0, k, 0], bf.points[0, 0, 0])
-            t_hi = min(bc.points[-1, k, 0], bf.points[-1, 0, 0])
+            rf = run_flat(psi_k, pts0[i, k], step)
+            t_lo = max(runs.points[i, 0, k, 0], rf.points[0, 0, 0, 0])
+            t_hi = min(runs.points[i, -1, k, 0], rf.points[0, -1, 0, 0])
             times = np.linspace(t_lo + 1e-9, min(t_hi, t_lo + t_span), 41)
-            qc = sample_path_at_times(psi, curved, bc, k + 1, times)
-            qf = sample_path_at_times(psi_k, flat, bf, 1, times)
+            qc = sample_path_at_times(psi, curved, runs, i, k + 1, times)
+            qf = sample_path_at_times(psi_k, flat, rf, 0, 1, times)
             dev = max(dev, float(np.max(np.abs(qc - qf))))
             if i < HALVING_STARTS:
-                qc2 = sample_path_at_times(psi, curved, halved.bundle(i),
-                                           k + 1, times)
+                qc2 = sample_path_at_times(psi, curved, halved, i, k + 1,
+                                           times)
                 qf2 = sample_path_at_times(
-                    psi_k, flat, run_flat(psi_k, pts0[i, k], step / 2), 1,
+                    psi_k, flat, run_flat(psi_k, pts0[i, k], step / 2), 0, 1,
                     times)
                 est = max(est, float(np.max(np.abs(qc - qc2))),
                           float(np.max(np.abs(qf - qf2))))
     return dev, 10.0 * max(est, 1e-11)
 
 
-def n1_foliation_independence(psi, x0, step=0.02, t_span=3.0, curved=None):
+def n1_foliation_independence(psi, x0, step=0.02, t_span=3.0):
     """(deviation, tolerance) between the one-particle paths through the
-    starts x0, shape (4,) or (M, 4), integrated against a curved foliation
-    and against FlatTime.
+    starts x0, shape (4,) or (M, 4), integrated against
+    ``default_curved_foliation`` and against FlatTime.
 
     The starts must lie on one leaf of the curved foliation; a single point
     always does, and lies on a leaf of FlatTime too. The curved runs are
@@ -351,36 +351,36 @@ def n1_foliation_independence(psi, x0, step=0.02, t_span=3.0, curved=None):
     least 1e-10."""
     if psi.n_particles != 1:
         raise ValueError("one-particle state required")
-    curved = curved or default_curved_foliation(psi.mode.spatial_dims)
+    curved = default_curved_foliation(psi.mode.spatial_dims)
     pts0 = np.asarray(x0, dtype=float).reshape(-1, 1, 4)
     return _independence(psi, [psi], curved, float(curved.label(pts0[0, 0])),
                          pts0, step, t_span)
 
 
 def product_foliation_independence(factors, initial_xi, step=0.02,
-                                   t_span=3.0, curved=None):
+                                   t_span=3.0):
     """(deviation, tolerance) for a product state: each particle's path in
     the N-particle curved-foliation run must coincide with the flat-frame
     one-particle run of its own factor through the same starting point.
 
-    ``factors[k]`` is a list of (weight, mode) for particle k+1; the curved
-    runs start on the leaf s = 0 from the chart positions ``initial_xi``,
-    shape (N, sd) or (M, N, sd), and are integrated as one batch. The
-    deviation and tolerance are formed as in ``n1_foliation_independence``.
+    ``factors[k]`` is a list of (weight, mode) for particle k+1; the runs
+    against ``default_curved_foliation`` start on the leaf s = 0 from the
+    chart positions ``initial_xi``, shape (N, sd) or (M, N, sd), and are
+    integrated as one batch. The deviation and tolerance are formed as in
+    ``n1_foliation_independence``.
     """
     n = len(factors)
     sd = factors[0][0][1].mode.spatial_dims
-    curved = curved or default_curved_foliation(sd)
+    curved = default_curved_foliation(sd)
     psi = NParticleWavefunction.from_product_branches([(1.0, factors)])
     singles = [NParticleWavefunction([(w, (md,)) for w, md in f])
                for f in factors]
     xi = np.asarray(initial_xi, dtype=float).reshape(-1, n, sd)
-    pts0 = np.stack([curved.leaf_point(0.0, xi[:, k]) for k in range(n)],
-                    axis=1)
+    pts0 = curved.leaf_point(0.0, xi)
     return _independence(psi, singles, curved, 0.0, pts0, step, t_span)
 
 
-def frobenius_gradient_residual(foliations=None, h=1e-3):
+def frobenius_gradient_residual(foliations=None):
     """Max V^dV residual over the gradient fields of built-in foliations."""
     if foliations is None:
         box = [[-6.0, 6.0]]
@@ -395,12 +395,14 @@ def frobenius_gradient_residual(foliations=None, h=1e-3):
           np.array([2.0, -2.2, 0.0, 0.0])]
     for fol in foliations:
         for x in xs:
-            worst = max(worst, frobenius_residual(fol.gradient, x, h))
+            worst = max(worst, frobenius_residual(fol.gradient, x, 1e-3))
     return worst
 
 
-def continuity_residuals(rng, h=1e-2):
-    """(product-state residual at h=1e-3, worst Richardson ratio entangled)."""
+def continuity_residuals(rng):
+    """(product-state residual at h=1e-3, Richardson ratios of the entangled
+    residual at h=1e-2)."""
+    h = 1e-2
     mode = D11
     prod = NParticleWavefunction([(1.0, (make_mode([0.8], 1.0, 1, 1, mode),
                                          make_mode([-0.3], 1.0, 1, 1, mode)))])
@@ -453,11 +455,11 @@ def run_all(scenario=None, seed=12345, gamma_fn=None):
     add("lifted_commutators", stat, 1e-12, stat < 1e-12,
         "operators of distinct particles commute")
 
-    stat = contraction_positivity_min_eig(rng, draws=100)
+    stat = contraction_positivity_min_eig(rng)
     add("operator_positivity", stat, -1e-10, stat >= -1e-10,
         "min eigenvalue of the normal-contraction operator")
 
-    stat = mode_spinor_residual(rng, draws=100)
+    stat = mode_spinor_residual(rng)
     add("mode_spinors", stat, 1e-12, stat < 1e-12,
         "momentum-space equation residual and normalization")
 
@@ -476,7 +478,7 @@ def run_all(scenario=None, seed=12345, gamma_fn=None):
     add("divergence_order", stat, 0.8, stat < 0.8,
         f"Richardson ratios on {len(ratios)} configurations")
 
-    ratios = dirac_richardson_ratios(rng, draws=25)
+    ratios = dirac_richardson_ratios(rng)
     stat = float(np.max(np.abs(ratios - 4.0)))
     add("dirac_equation_order", stat, 0.8, stat < 0.8,
         "central-difference order of the multi-time equation residual")
@@ -485,7 +487,7 @@ def run_all(scenario=None, seed=12345, gamma_fn=None):
     if scenario is not None and isinstance(scenario.foliation, GraphLeaf):
         fols = [FlatTime(spatial_dims=scenario.mode.spatial_dims),
                 scenario.foliation]
-    r1 = frobenius_gradient_residual(fols, h=1e-3)
+    r1 = frobenius_gradient_residual(fols)
     add("frobenius_integrable", r1, 1e-5, r1 < 1e-5,
         "V^dV of generating-function gradients")
 

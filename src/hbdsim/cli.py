@@ -66,13 +66,12 @@ def run_simulate(scenario: Scenario, outdir, seed_override=None):
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    configs = scenario.initial_configurations()
-    if not configs:
+    pts0 = scenario.initial_configurations()
+    if not len(pts0):
         raise ScenarioError("integration",
                             "scenario lists no initial_positions to simulate")
     seed = _apply_seed_override(scenario, seed_override)
 
-    pts0 = np.stack([c.points for c in configs])
     rho0 = density_batch(scenario.psi.evaluate_batch(pts0),
                          scenario.foliation.normal(pts0),
                          scenario.n_particles, scenario.mode)

@@ -36,8 +36,6 @@ from .geometry import lift_to_particle, alpha, minkowski_dot, minkowski_norm_sq
 
 __all__ = [
     "SYNC_TOLERANCE",
-    "NConfiguration",
-    "TrajectoryBundle",
     "TrajectoryEnsemble",
     "integrate",
     "integrate_ensemble",
@@ -53,48 +51,6 @@ EVENT_NODE = "node_proximity"
 EVENT_VALIDITY = "validity_breach"
 
 
-@dataclass(frozen=True)
-class NConfiguration:
-    """N particle points sharing one leaf label s."""
-
-    s: float
-    points: np.ndarray  # (N, 4)
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 4:
-            raise ValueError("points must have shape (N, 4)")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n_particles(self):
-        return self.points.shape[0]
-
-    def validate(self, foliation):
-        labels = foliation.label(self.points)
-        drift = float(np.max(np.abs(labels - self.s)))
-        if drift > SYNC_TOLERANCE:
-            raise ConsistencyError(
-                f"configuration off its leaf by {drift:.3e} (> {SYNC_TOLERANCE})")
-
-
-@dataclass
-class TrajectoryBundle:
-    """One trajectory sampled on an increasing grid of leaf labels."""
-
-    s_grid: np.ndarray            # (T+1,)
-    points: np.ndarray            # (T+1, N, 4)
-    events: list                  # [(s, kind)]
-    valid_steps: int              # index of the last trustworthy grid entry
-    step: float
-    node_threshold: float
-
-    @property
-    def completed(self) -> bool:
-        return self.valid_steps == len(self.s_grid) - 1
-
-
 @dataclass
 class TrajectoryEnsemble:
     """A set of trajectories integrated on a common s-grid."""
@@ -103,19 +59,11 @@ class TrajectoryEnsemble:
     points: np.ndarray            # (M, T+1, N, 4)
     valid_steps: np.ndarray       # (M,)
     events: list                  # [(trajectory, s, kind)]
-    step: float
-    node_threshold: float
     foliation: object = field(repr=False, default=None)
 
     @property
     def n_trajectories(self):
         return self.points.shape[0]
-
-    def bundle(self, i) -> TrajectoryBundle:
-        ev = [(s, kind) for t, s, kind in self.events if t == i]
-        return TrajectoryBundle(self.s_grid, self.points[i], ev,
-                                int(self.valid_steps[i]), self.step,
-                                self.node_threshold)
 
 
 def _flow(psi, foliation, x):
@@ -274,18 +222,18 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     for (lo, _), (_, _, ev) in zip(jobs, results):
         events.extend((t + lo, s, kind) for t, s, kind in ev)
     return TrajectoryEnsemble(s_grid=s_grid, points=points, valid_steps=valid,
-                              events=events, step=float(step),
-                              node_threshold=float(node_threshold),
-                              foliation=foliation)
+                              events=events, foliation=foliation)
 
 
-def integrate(psi, foliation, initial: NConfiguration, s_end, step,
-              node_threshold: float = 0.0) -> TrajectoryBundle:
-    """Integrate a single trajectory; see integrate_ensemble for the rules."""
-    initial.validate(foliation)
-    ens = integrate_ensemble(psi, foliation, initial.points[None], initial.s,
-                             s_end, step, node_threshold)
-    return ens.bundle(0)
+def integrate(psi, foliation, points, s0, s_end, step,
+              node_threshold: float = 0.0) -> TrajectoryEnsemble:
+    """Integrate the single configuration ``points`` (N, 4) on Sigma_{s0}:
+    the one-row ensemble of integrate_ensemble, whose rules apply."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 4:
+        raise ValueError("points must have shape (N, 4)")
+    return integrate_ensemble(psi, foliation, points[None], s0, s_end, step,
+                              node_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +295,20 @@ def integrate_flat_bd(psi, t0, t_end, step, positions0,
 # parametrization-free path comparison
 # ---------------------------------------------------------------------------
 
-def sample_path_at_times(psi, foliation, bundle: TrajectoryBundle, k, times):
-    """Spatial position of particle k at given coordinate times x^0.
+def sample_path_at_times(psi, foliation, ensemble: TrajectoryEnsemble, i, k,
+                         times):
+    """Spatial position of particle k of trajectory i at given coordinate
+    times x^0.
 
     Reparametrizes the path by its own time component using cubic Hermite
     interpolation (slopes from the guiding field), so paths integrated
     against different foliations can be compared pointwise. ``times`` must
     lie inside the path's time span.
     """
-    top = bundle.valid_steps + 1
-    pts = bundle.points[:top, k - 1, :]
-    v, _, _, _ = _flow(psi, foliation, bundle.points[:top])
+    top = int(ensemble.valid_steps[i]) + 1
+    path = ensemble.points[i, :top]
+    pts = path[:, k - 1, :]
+    v, _, _, _ = _flow(psi, foliation, path)
     vk = v[:, k - 1, :]
     tgrid = pts[:, 0]
     if np.any(np.diff(tgrid) <= 0):

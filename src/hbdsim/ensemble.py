@@ -101,7 +101,7 @@ class LeafDensity:
     particles' points as an outer product, so each factor is evaluated once
     per own point rather than once per joint grid point. Only ``weight``
     evaluates one row per configuration, for the sampler's random
-    proposals (``chart_tuples`` and ``points`` serve those rows).
+    proposals (``chart_tuples`` serves those rows).
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -133,13 +133,6 @@ class LeafDensity:
         sd = self.foliation.spatial_dims
         return flat.reshape(flat.shape[:-1] + (self.psi.n_particles, sd))
 
-    def points(self, xi):
-        """Chart tuples (..., N, sd) -> spacetime points (..., N, 4)."""
-        xi = np.asarray(xi, dtype=float)
-        cols = [self.foliation.leaf_point(self.s, xi[..., k, :])
-                for k in range(self.psi.n_particles)]
-        return np.stack(cols, axis=-2)
-
     def _normals(self, pts):
         if self.flat_normals:
             n = np.zeros(pts.shape)
@@ -150,7 +143,7 @@ class LeafDensity:
     def weight(self, xi):
         """Unnormalized sampling weight at chart tuples (..., N, sd)."""
         xi = np.asarray(xi, dtype=float)
-        pts = self.points(xi)
+        pts = self.foliation.leaf_point(self.s, xi)
         vals = self.psi.evaluate_batch(pts)
         rho = density_batch(vals, self._normals(pts), self.psi.n_particles,
                             self.psi.mode)
@@ -366,7 +359,8 @@ class SampleSet:
         return self.chart.shape[0]
 
     def points(self):
-        return self.density.points(self.chart)
+        """The samples as spacetime points (M, N, 4) on the density's leaf."""
+        return self.density.foliation.leaf_point(self.density.s, self.chart)
 
 
 def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:

@@ -75,6 +75,13 @@ class Foliation:
         raise NotImplementedError
 
     def leaf_point(self, s, xi):
+        """Points (..., 4) of the leaf Sigma_s at chart coordinates xi.
+
+        ``xi`` has shape (..., sd) with any leading axes, e.g. (M, N, sd)
+        for M configurations of N particles, and ``s`` broadcasts against
+        those leading axes: a scalar, or ``s[:, None]`` for one label per
+        configuration.
+        """
         raise NotImplementedError
 
     def chart_coords(self, x):

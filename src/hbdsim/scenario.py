@@ -26,7 +26,6 @@ from importlib import resources
 
 import numpy as np
 
-from .dynamics import NConfiguration
 from .ensemble import BIN_ORDER, CDF_RESOLUTION, MAX_QUADRATURE_NODES
 from .errors import ScenarioError
 from .foliation import ConstantNormal, FlatTime, GraphLeaf, RippleProfile, TanhProfile
@@ -101,13 +100,9 @@ class Scenario:
         return self.psi.n_particles
 
     def initial_configurations(self):
-        out = []
-        for xi in self.integration.initial_positions:
-            pts = np.stack([self.foliation.leaf_point(self.integration.s0,
-                                                      xi[k])
-                            for k in range(self.n_particles)])
-            out.append(NConfiguration(self.integration.s0, pts))
-        return out
+        """The listed initial positions as points (n, N, 4) on Sigma_{s0}."""
+        return self.foliation.leaf_point(self.integration.s0,
+                                         self.integration.initial_positions)
 
 
 def _parse_foliation(block, spatial_dims):
@@ -233,6 +228,23 @@ def _integer(block, key, default, kind, minimum):
     return value
 
 
+def _reject_non_finite(raw):
+    """json.load accepts NaN and Infinity; a scenario holding either
+    anywhere fails with the kind of the top-level block that holds it."""
+    def non_finite(value):
+        if isinstance(value, dict):
+            return any(non_finite(v) for v in value.values())
+        if isinstance(value, list):
+            return any(non_finite(v) for v in value)
+        return isinstance(value, float) and not math.isfinite(value)
+
+    for key, value in raw.items():
+        if non_finite(value):
+            kind = (key if key in ("foliation", "wavefunction", "integration",
+                                   "ensemble") else "validation")
+            _fail(kind, f"{key} holds a non-finite number")
+
+
 def _grid_resolution(block, key, default, kind, minimum, dims):
     """A per-axis grid resolution whose tensor grid has at most
     ``MAX_QUADRATURE_NODES`` points in ``dims`` dimensions."""
@@ -264,8 +276,9 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
         mode = SpinDimensionMode(raw["mode"])
     except (KeyError, ValueError):
         _fail("validation", "mode must be 'D31' or 'D11'")
-    mass = raw.get("mass", 1.0)
-    if not isinstance(mass, (int, float)) or mass < 0:
+    _reject_non_finite(raw)
+    mass = _number(raw, "mass", 1.0, "validation")
+    if mass < 0:
         _fail("validation", "mass must be a nonnegative number")
 
     foliation = _parse_foliation(raw.get("foliation"), mode.spatial_dims)
@@ -289,7 +302,7 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
     if factor < 0:
         _fail("integration", "node_threshold_factor must be nonnegative")
 
-    psi = _parse_wavefunction(raw.get("wavefunction"), float(mass), mode,
+    psi = _parse_wavefunction(raw.get("wavefunction"), mass, mode,
                               foliation, s0)
     sd = mode.spatial_dims
 
@@ -306,12 +319,8 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
     ensemble = None
     ens_raw = raw.get("ensemble")
     if ens_raw is not None:
-        size = ens_raw.get("size")
-        if not isinstance(size, int) or size < 1:
-            _fail("ensemble", "ensemble size must be an integer >= 1")
-        seed = ens_raw.get("seed")
-        if not isinstance(seed, int) or seed < 0:
-            _fail("ensemble", "ensemble seed must be a nonnegative integer")
+        size = _integer(ens_raw, "size", None, "ensemble", 1)
+        seed = _integer(ens_raw, "seed", None, "ensemble", 0)
         boxes = _parse_boxes(ens_raw.get("boxes"), psi.n_particles, sd,
                              "sampling boxes")
         target = ens_raw.get("target_boxes")
@@ -347,7 +356,7 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
             tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
             scan_resolution=scan_res)
 
-    return Scenario(name=raw.get("name", name), mode=mode, mass=float(mass),
+    return Scenario(name=raw.get("name", name), mode=mode, mass=mass,
                     psi=psi, foliation=foliation, integration=integration,
                     ensemble=ensemble, raw=raw, content_hash=scenario_hash(raw))
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from hbdsim import checks
 from hbdsim.cli import run_equilibrium, run_simulate
-from hbdsim.dynamics import NConfiguration, integrate
+from hbdsim.dynamics import integrate
 from hbdsim.ensemble import LeafDensity, equivariance_test
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile, frobenius_residual, twisted_field
 from hbdsim.geometry import SpinDimensionMode
@@ -97,14 +97,12 @@ def test_criterion_06_rk4_order():
     fol = sc.foliation
     xi = np.array([[[-5.2], [5.0]], [[2.0], [-2.4]], [[-5.8], [5.7]]])
     ratios = []
-    for x in xi:
-        pts0 = np.stack([fol.leaf_point(0.0, x[k]) for k in range(2)])
-        cfg = NConfiguration(0.0, pts0)
-        ref = integrate(sc.psi, fol, cfg, 2.0, 0.1 / 16).points[-1]
-        e1 = np.max(np.abs(integrate(sc.psi, fol, cfg, 2.0, 0.1).points[-1]
-                           - ref))
-        e2 = np.max(np.abs(integrate(sc.psi, fol, cfg, 2.0, 0.05).points[-1]
-                           - ref))
+    for pts0 in fol.leaf_point(0.0, xi):
+        def end(step):
+            return integrate(sc.psi, fol, pts0, 0.0, 2.0, step).points[0, -1]
+        ref = end(0.1 / 16)
+        e1 = np.max(np.abs(end(0.1) - ref))
+        e2 = np.max(np.abs(end(0.05) - ref))
         ratios.append(e1 / e2)
     ratios = np.array(ratios)
     ok = np.all((ratios > 16 * 0.7) & (ratios < 16 * 1.3))

@@ -5,7 +5,6 @@ from hbdsim import checks, dynamics
 from hbdsim.checks import flat_reduction_deviation
 from hbdsim.currents import current_jk
 from hbdsim.dynamics import (
-    NConfiguration,
     _flow,
     bd_flat_velocity,
     integrate,
@@ -42,12 +41,15 @@ def curved(a=0.8, b=0.6, width=60.0):
 
 
 def test_configuration_sync_validation():
+    # a start off the leaf Sigma_s0 is refused
+    psi = single_mode_psi()
     fol = curved()
-    good = NConfiguration(0.0, fol.leaf_point(0.0, np.array([[0.4]])))
-    good.validate(fol)
-    bad = NConfiguration(0.5, fol.leaf_point(0.0, np.array([[0.4]])))
+    x0 = fol.leaf_point(0.0, np.array([[0.4]]))
+    assert integrate(psi, fol, x0, 0.0, 0.1, 0.05).valid_steps[0] == 2
     with pytest.raises(ConsistencyError):
-        bad.validate(fol)
+        integrate(psi, fol, x0, 0.5, 1.0, 0.05)
+    with pytest.raises(ConsistencyError):
+        integrate_ensemble(psi, fol, x0[None], 0.5, 1.0, 0.05)
 
 
 def test_flat_velocity_reduces_to_guiding_law():
@@ -66,34 +68,33 @@ def test_flat_velocity_reduces_to_guiding_law():
 def test_rest_mode_stays_put():
     psi = single_mode_psi(0.0)
     fol = curved()
-    cfg = NConfiguration(0.0, fol.leaf_point(0.0, np.array([[0.7]])))
-    b = integrate(psi, fol, cfg, 4.0, 0.05)
-    assert b.completed
-    assert np.max(np.abs(b.points[:, 0, 1] - 0.7)) < 1e-12
-    assert np.all(np.diff(b.points[:, 0, 0]) > 0)
+    x0 = fol.leaf_point(0.0, np.array([[0.7]]))
+    run = integrate(psi, fol, x0, 0.0, 4.0, 0.05)
+    assert run.valid_steps[0] == len(run.s_grid) - 1
+    assert np.max(np.abs(run.points[0, :, 0, 1] - 0.7)) < 1e-12
+    assert np.all(np.diff(run.points[0, :, 0, 0]) > 0)
 
 
 def test_single_mode_exact_line_flat():
     psi = single_mode_psi(0.6)
     e = np.sqrt(1.36)
     flat = FlatTime(spatial_dims=1)
-    cfg = NConfiguration(0.0, np.array([[0.0, 0.3, 0, 0]]))
-    b = integrate(psi, flat, cfg, 5.0, 0.05)
-    expected = 0.3 + b.s_grid * (0.6 / e)
-    assert np.max(np.abs(b.points[:, 0, 1] - expected)) < 1e-10
-    assert np.max(np.abs(b.points[:, 0, 0] - b.s_grid)) < 1e-10
+    run = integrate(psi, flat, np.array([[0.0, 0.3, 0, 0]]), 0.0, 5.0, 0.05)
+    expected = 0.3 + run.s_grid * (0.6 / e)
+    assert np.max(np.abs(run.points[0, :, 0, 1] - expected)) < 1e-10
+    assert np.max(np.abs(run.points[0, :, 0, 0] - run.s_grid)) < 1e-10
 
 
 def test_single_mode_exact_line_tilted():
     psi = single_mode_psi(0.6)
     fol = ConstantNormal([np.cosh(0.4), np.sinh(0.4), 0, 0], spatial_dims=1)
     x0 = fol.leaf_point(0.0, np.array([0.2]))
-    b = integrate(psi, fol, NConfiguration(0.0, x0[None]), 5.0, 0.05)
+    run = integrate(psi, fol, x0[None], 0.0, 5.0, 0.05)
     # velocity is j / (n.j), constant: straight line exactly
     j = current_jk(psi, 1, x0[None], fol.normal(x0[None]))
     v = j / minkowski_dot(fol.n, j)
-    expected = x0[None] + b.s_grid[:, None] * v[None]
-    assert np.max(np.abs(b.points[:, 0, :] - expected)) < 1e-10
+    expected = x0[None] + run.s_grid[:, None] * v[None]
+    assert np.max(np.abs(run.points[0, :, 0, :] - expected)) < 1e-10
 
 
 def test_single_mode_straight_on_curved():
@@ -101,16 +102,16 @@ def test_single_mode_straight_on_curved():
     # even though the label parametrization along it is not affine
     psi = single_mode_psi(0.8)
     fol = curved()
-    cfg = NConfiguration(0.0, fol.leaf_point(0.0, np.array([[0.3]])))
-    b = integrate(psi, fol, cfg, 4.0, 0.02)
-    pts = b.points[:, 0, :]
+    run = integrate(psi, fol, fol.leaf_point(0.0, np.array([[0.3]])), 0.0,
+                    4.0, 0.02)
+    pts = run.points[0, :, 0, :]
     e = np.sqrt(1.64)
     direction = np.array([e, 0.8, 0, 0]) / np.linalg.norm([e, 0.8, 0, 0])
     rel = pts - pts[0]
     off = rel - np.outer(rel @ direction, direction)
     assert np.max(np.abs(off)) < 1e-11
     # labels stay synchronized with the grid
-    assert np.max(np.abs(fol.label(pts) - b.s_grid)) < 1e-9
+    assert np.max(np.abs(fol.label(pts) - run.s_grid)) < 1e-9
 
 
 def test_flat_reduction_matches_oracle():
@@ -122,13 +123,13 @@ def test_flat_reduction_matches_oracle():
 def test_rk4_step_halving_order():
     psi = entangled_psi(seed=13)
     fol = curved()
-    xi = np.array([[0.3], [-0.5]])
-    pts0 = np.stack([fol.leaf_point(0.0, xi[k]) for k in range(2)])
-    cfg = NConfiguration(0.0, pts0)
+    pts0 = fol.leaf_point(0.0, np.array([[0.3], [-0.5]]))
 
-    ref = integrate(psi, fol, cfg, 2.0, 0.1 / 16).points[-1]
-    e1 = np.max(np.abs(integrate(psi, fol, cfg, 2.0, 0.1).points[-1] - ref))
-    e2 = np.max(np.abs(integrate(psi, fol, cfg, 2.0, 0.05).points[-1] - ref))
+    ref = integrate(psi, fol, pts0, 0.0, 2.0, 0.1 / 16).points[0, -1]
+    e1 = np.max(np.abs(integrate(psi, fol, pts0, 0.0, 2.0, 0.1).points[0, -1]
+                       - ref))
+    e2 = np.max(np.abs(integrate(psi, fol, pts0, 0.0, 2.0, 0.05).points[0, -1]
+                       - ref))
     ratio = e1 / e2
     assert 16 * 0.7 < ratio < 16 * 1.3
 
@@ -136,34 +137,32 @@ def test_rk4_step_halving_order():
 def test_reparametrization_invariance():
     psi = entangled_psi(seed=17)
     fol = curved()
-    xi = np.array([[0.4], [-0.2]])
-    pts0 = np.stack([fol.leaf_point(0.0, xi[k]) for k in range(2)])
-    base = integrate(psi, fol, NConfiguration(0.0, pts0), 3.0, 0.05)
+    pts0 = fol.leaf_point(0.0, np.array([[0.4], [-0.2]]))
+    base = integrate(psi, fol, pts0, 0.0, 3.0, 0.05).points[0]
 
     # pure dyadic rescaling traverses the same leaves: bitwise identical
     re = fol.relabeled(2.0, 0.0)
-    again = integrate(psi, re, NConfiguration(0.0, pts0), 6.0, 0.1)
-    assert np.array_equal(base.points, again.points)
+    again = integrate(psi, re, pts0, 0.0, 6.0, 0.1).points[0]
+    assert np.array_equal(base, again)
 
     # non-dyadic relabeling agrees to roundoff-level tolerance
     re2 = fol.relabeled(1.7, -0.3)
-    b2 = integrate(psi, re2, NConfiguration(-0.3, pts0), 1.7 * 3.0 - 0.3,
-                   1.7 * 0.05)
-    ref = integrate(psi, fol, NConfiguration(0.0, pts0), 3.0, 0.025)
-    est = np.max(np.abs(base.points - ref.points[::2]))
-    assert np.max(np.abs(b2.points - base.points)) < 10 * (est + 1e-12)
+    b2 = integrate(psi, re2, pts0, -0.3, 1.7 * 3.0 - 0.3,
+                   1.7 * 0.05).points[0]
+    ref = integrate(psi, fol, pts0, 0.0, 3.0, 0.025).points[0]
+    est = np.max(np.abs(base - ref[::2]))
+    assert np.max(np.abs(b2 - base)) < 10 * (est + 1e-12)
 
 
 def test_no_leaf_recrossing():
     psi = entangled_psi(seed=19)
     fol = curved()
-    xi = np.array([[0.1], [0.9]])
-    pts0 = np.stack([fol.leaf_point(0.0, xi[k]) for k in range(2)])
-    b = integrate(psi, fol, NConfiguration(0.0, pts0), 3.0, 0.05)
+    pts0 = fol.leaf_point(0.0, np.array([[0.1], [0.9]]))
+    path = integrate(psi, fol, pts0, 0.0, 3.0, 0.05).points[0]
     for k in range(2):
-        labels = fol.label(b.points[:, k, :])
+        labels = fol.label(path[:, k, :])
         assert np.all(np.diff(labels) > 0)
-        assert np.all(np.diff(b.points[:, k, 0]) > 0)
+        assert np.all(np.diff(path[:, k, 0]) > 0)
 
 
 def test_product_state_velocity_independence():
@@ -188,9 +187,10 @@ def test_node_proximity_raised():
     md = make_mode([0.5], 1.0, 1, 1, D11)
     psi = NParticleWavefunction([(1.0, (md,)), (-1.0, (md,))])  # identically 0
     flat = FlatTime(spatial_dims=1)
-    cfg = NConfiguration(0.0, np.zeros((1, 4)))
-    b = integrate(psi, flat, cfg, 1.0, 0.05, node_threshold=1e-12)
-    assert b.events == [(0.0, "node_proximity")] and b.valid_steps == 0
+    run = integrate(psi, flat, np.zeros((1, 4)), 0.0, 1.0, 0.05,
+                    node_threshold=1e-12)
+    assert run.events == [(0, 0.0, "node_proximity")]
+    assert run.valid_steps[0] == 0
     with pytest.raises(NodeProximity):
         bd_flat_velocity(psi, 0.0, np.zeros((1, 1)), node_threshold=1e-12)
 
@@ -201,33 +201,33 @@ def test_node_event_recorded_and_trajectory_halted():
     # freeze at its last valid configuration
     psi = single_mode_psi(0.5)                     # rho = 1 everywhere
     flat = FlatTime(spatial_dims=1)
-    cfg = NConfiguration(0.0, np.zeros((1, 4)))
-    b = integrate(psi, flat, cfg, 1.0, 0.05, node_threshold=2.0)
-    assert not b.completed
-    assert b.events and b.events[0][1] == "node_proximity"
-    assert b.events[0][0] == 0.0
-    assert b.valid_steps == 0
-    assert np.array_equal(b.points[-1], b.points[0])
+    run = integrate(psi, flat, np.zeros((1, 4)), 0.0, 1.0, 0.05,
+                    node_threshold=2.0)
+    assert run.valid_steps[0] != len(run.s_grid) - 1
+    assert run.events and run.events[0][2] == "node_proximity"
+    assert run.events[0][:2] == (0, 0.0)
+    assert run.valid_steps[0] == 0
+    assert np.array_equal(run.points[0, -1], run.points[0, 0])
 
 
 def test_validity_breach_event():
     psi = single_mode_psi(0.9)
     fol = curved(width=1.0)                        # tiny certified region
-    cfg = NConfiguration(0.0, fol.leaf_point(0.0, np.array([[0.0]])))
-    b = integrate(psi, fol, cfg, 6.0, 0.05)
-    assert not b.completed
-    kinds = {kind for _, kind in b.events}
+    run = integrate(psi, fol, fol.leaf_point(0.0, np.array([[0.0]])), 0.0,
+                    6.0, 0.05)
+    top = run.valid_steps[0]
+    assert top != len(run.s_grid) - 1
+    kinds = {kind for _, _, kind in run.events}
     assert kinds == {"validity_breach"}
     # frozen tail: the stored points after the halt repeat the last valid one
-    assert np.array_equal(b.points[b.valid_steps + 2], b.points[b.valid_steps])
+    assert np.array_equal(run.points[0, top + 2], run.points[0, top])
 
 
 def test_ensemble_batch_and_worker_invariance(monkeypatch):
     psi = entangled_psi(seed=23)
     fol = curved()
     rng = np.random.default_rng(1)
-    xi = rng.uniform(-1, 1, size=(40, 2, 1))
-    pts0 = np.stack([fol.leaf_point(0.0, xi[:, k]) for k in range(2)], axis=1)
+    pts0 = fol.leaf_point(0.0, rng.uniform(-1, 1, size=(40, 2, 1)))
     monkeypatch.setattr(dynamics, "BATCH_SIZE", 40)
     a = integrate_ensemble(psi, fol, pts0, 0.0, 1.0, 0.05, workers=1)
     monkeypatch.setattr(dynamics, "BATCH_SIZE", 7)
@@ -235,13 +235,14 @@ def test_ensemble_batch_and_worker_invariance(monkeypatch):
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.valid_steps, b.valid_steps)
     # single-trajectory runs reproduce their ensemble rows bitwise
-    one = integrate(psi, fol, NConfiguration(0.0, pts0[5]), 1.0, 0.05)
-    assert np.array_equal(one.points, a.points[5])
+    one = integrate(psi, fol, pts0[5], 0.0, 1.0, 0.05)
+    assert np.array_equal(one.points[0], a.points[5])
+    assert one.valid_steps[0] == a.valid_steps[5]
 
 
 def _curved_starts(fol, m, seed):
     xi = np.random.default_rng(seed).uniform(-1, 1, size=(m, 2, 1))
-    return np.stack([fol.leaf_point(0.0, xi[:, k]) for k in range(2)], axis=1)
+    return fol.leaf_point(0.0, xi)
 
 
 def test_four_psi_evaluations_per_step(monkeypatch):
@@ -308,23 +309,21 @@ def test_d31_single_particle_line():
     md = make_mode([0.4, -0.3, 0.5], 1.0, 1, 2, mode31)
     psi = NParticleWavefunction([(1.0, (md,))])
     flat = FlatTime(spatial_dims=3)
-    cfg = NConfiguration(0.0, np.zeros((1, 4)))
-    b = integrate(psi, flat, cfg, 2.0, 0.05)
+    run = integrate(psi, flat, np.zeros((1, 4)), 0.0, 2.0, 0.05)
     e = md.four_momentum[0]
-    expected = np.outer(b.s_grid, md.four_momentum / e)
-    assert np.max(np.abs(b.points[:, 0, :] - expected)) < 1e-10
+    expected = np.outer(run.s_grid, md.four_momentum / e)
+    assert np.max(np.abs(run.points[0, :, 0, :] - expected)) < 1e-10
 
 
 def test_path_time_resampling_consistency():
     # resampling a path at its own grid times reproduces the grid points
     psi = entangled_psi(seed=29)
     fol = curved()
-    xi = np.array([[0.2], [-0.4]])
-    pts0 = np.stack([fol.leaf_point(0.0, xi[k]) for k in range(2)])
-    b = integrate(psi, fol, NConfiguration(0.0, pts0), 2.0, 0.05)
-    times = b.points[5:30, 0, 0]
-    q = sample_path_at_times(psi, fol, b, 1, times)
-    assert np.max(np.abs(q[:, 0] - b.points[5:30, 0, 1])) < 1e-12
+    pts0 = fol.leaf_point(0.0, np.array([[0.2], [-0.4]]))
+    run = integrate(psi, fol, pts0, 0.0, 2.0, 0.05)
+    times = run.points[0, 5:30, 0, 0]
+    q = sample_path_at_times(psi, fol, run, 0, 1, times)
+    assert np.max(np.abs(q[:, 0] - run.points[0, 5:30, 0, 1])) < 1e-12
 
 
 def test_foliation_independence_suites_batch_invariance():

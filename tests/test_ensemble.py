@@ -3,7 +3,7 @@ import pytest
 
 from hbdsim import ensemble
 from hbdsim.currents import currents_all_batch, density_batch
-from hbdsim.dynamics import NConfiguration, integrate_ensemble
+from hbdsim.dynamics import SYNC_TOLERANCE, integrate_ensemble
 from hbdsim.ensemble import (
     CDF_RESOLUTION,
     MAX_RESTARTS,
@@ -124,7 +124,7 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
                        indexing="ij")
     u = np.stack([m.ravel() for m in mesh], axis=-1)
     assert scan["max_weight"] == np.max(dens.weight_flat(u))
-    pts = dens.points(dens.chart_tuples(u))
+    pts = fol.leaf_point(dens.s, dens.chart_tuples(u))
     rho = density_batch(psi.evaluate_batch(pts), fol.normal(pts), 2, D11)
     assert scan["max_rho"] == np.max(rho)
 
@@ -150,7 +150,7 @@ def _row_flux(dens):
             u[:, other] = base
             u[:, a] = edge
             xi = dens.chart_tuples(u)
-            pts = dens.points(xi)
+            pts = dens.foliation.leaf_point(dens.s, xi)
             j = currents_all_batch(dens.psi.evaluate_batch(pts),
                                    dens.foliation.normal(pts), n,
                                    dens.psi.mode)
@@ -175,7 +175,7 @@ def _row_path_quantities(dens, bins):
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     u = rows(dens._scan_axes(dens.scan_resolution))
-    pts = dens.points(dens.chart_tuples(u))
+    pts = dens.foliation.leaf_point(dens.s, dens.chart_tuples(u))
     normals = dens._normals(pts)
     rho = density_batch(dens.psi.evaluate_batch(pts), normals,
                         dens.psi.n_particles, dens.psi.mode)
@@ -320,8 +320,9 @@ def test_sampling_configurations_on_leaf():
     psi = packet_psi(fol)
     dens = LeafDensity(fol, 0.0, psi, [[[-8.0, 9.0]]], 32)
     ss = sample_leaf(dens, 50, seed=5)
-    for p in ss.points():
-        NConfiguration(dens.s, p).validate(fol)
+    pts = ss.points()
+    assert pts.shape == (50, 1, 4)
+    assert np.max(np.abs(fol.label(pts) - dens.s)) <= SYNC_TOLERANCE
 
 
 def test_boundary_leak_detected():

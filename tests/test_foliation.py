@@ -105,6 +105,24 @@ def test_chart_roundtrip(rng):
         assert np.max(np.abs(back - xi)) < 1e-12
 
 
+def test_leaf_point_broadcasts_over_configurations(rng):
+    # leaf_point on (M, N, sd) chart tuples equals the per-particle stack
+    # bitwise, for a scalar label and for one label per configuration
+    ripple = GraphLeaf(RippleProfile(0.5, 1.3, 4.0), validity_box=[[-10, 10]],
+                       spatial_dims=1)
+    for fol in (FlatTime(1), FlatTime(3),
+                ConstantNormal([np.cosh(0.5), np.sinh(0.5), 0, 0], 1),
+                ConstantNormal([np.cosh(0.6), 0.3, np.sinh(0.6), 0.2], 3),
+                tanh_leaf(), tanh_leaf(box=((-8.0, 8.0),) * 3, sd=3), ripple,
+                AffineRelabeled(ripple, 1.7, -0.3)):
+        xi = rng.uniform(-3, 3, size=(7, 3, fol.spatial_dims))
+        s = rng.uniform(-2, 2, size=7)
+        for s_all, s_row in ((s[0], s[0]), (s[:, None], s)):
+            stacked = np.stack([fol.leaf_point(s_row, xi[:, k])
+                                for k in range(3)], axis=1)
+            assert np.array_equal(fol.leaf_point(s_all, xi), stacked)
+
+
 def test_constant_normal_leaf_orthogonality():
     eta = 0.85
     n = [np.cosh(eta), np.sinh(eta), 0, 0]

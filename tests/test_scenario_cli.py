@@ -43,6 +43,16 @@ def three_particles(quadrature_order):
     return mutate
 
 
+def _packet(raw):
+    return raw["wavefunction"]["branches"][0]["factors"][0]["packet"]
+
+
+def _modes_factor(raw, p=(0.5,), weight=(1.0, 0.0)):
+    """Mutation: the packet factor replaced by one explicit weighted mode."""
+    raw["wavefunction"]["branches"][0]["factors"] = [
+        {"modes": [{"p": list(p), "weight": list(weight)}]}]
+
+
 def small_scenario_dict(size=120, s1=1.0):
     """A fast curved one-particle equilibrium scenario for CLI tests."""
     return {
@@ -136,6 +146,41 @@ def test_hash_tracks_content():
      "integration"),
     (lambda r: r["integration"].update(node_threshold_factor=-1.0),
      "integration"),
+    # json.load accepts NaN, Infinity and true for any number
+    pytest.param(lambda r: r.update(mass=float("inf")), "validation",
+                 id="mass-infinite"),
+    pytest.param(lambda r: r.update(mass=True), "validation",
+                 id="mass-boolean"),
+    pytest.param(lambda r: r["ensemble"].update(size=True), "ensemble",
+                 id="ensemble-size-boolean"),
+    pytest.param(lambda r: r["ensemble"].update(seed=True), "ensemble",
+                 id="ensemble-seed-boolean"),
+    pytest.param(lambda r: _packet(r).update(sigma_p=float("nan")),
+                 "wavefunction", id="packet-sigma_p-nan"),
+    pytest.param(lambda r: _packet(r).update(dp=float("inf")),
+                 "wavefunction", id="packet-dp-infinite"),
+    pytest.param(lambda r: _packet(r).update(p0=[float("nan")]),
+                 "wavefunction", id="packet-p0-nan"),
+    pytest.param(lambda r: _packet(r).update(center_xi=[float("-inf")]),
+                 "wavefunction", id="packet-center_xi-infinite"),
+    pytest.param(lambda r: r["ensemble"].update(
+        boxes=[[[float("nan"), 7.0]]]), "ensemble", id="boxes-nan"),
+    pytest.param(lambda r: r["ensemble"].update(
+        target_boxes=[[[-8.0, float("inf")]]]), "ensemble",
+                 id="target_boxes-infinite"),
+    pytest.param(lambda r: r["integration"].update(
+        initial_positions=[[[float("nan")]]]), "integration",
+                 id="initial_positions-nan"),
+    pytest.param(lambda r: _modes_factor(r, p=[float("inf")]),
+                 "wavefunction", id="mode-momentum-infinite"),
+    pytest.param(lambda r: _modes_factor(r, weight=[float("nan"), 0.0]),
+                 "wavefunction", id="mode-weight-nan"),
+    pytest.param(lambda r: r["wavefunction"]["branches"][0].update(
+        coefficient=[1.0, float("nan")]), "wavefunction",
+                 id="branch-coefficient-nan"),
+    pytest.param(lambda r: r.update(wavefunction={"terms": [
+        {"coefficient": [float("inf"), 0.0], "modes": [{"p": [0.5]}]}]}),
+                 "wavefunction", id="term-coefficient-infinite"),
 ])
 def test_validation_error_kinds(mutate, kind):
     raw = small_scenario_dict()
