@@ -24,8 +24,11 @@ namely j_k^mu = sum_{c: c_k = mu} T_c prod_{l != k} a_l(c_l) and
 rho = sum_c T_c prod_l a_l(c_l). Every M_c has one nonzero entry per row,
 so T_c is a sum of D permuted, phased products per configuration. The
 kernel works on component-major blocks of a fixed number of rows and sums
-in a fixed order, so its values do not depend on batch shape. Tests pin
-the agreement of the two paths.
+in a fixed order, so its values do not depend on batch shape. The
+integrator calls it once per RK stage, often on 2-4 rows, where the fixed
+cost of a call outweighs the arithmetic: the cached operator table holds
+each component's permutation and phase columns ready. Tests pin the
+agreement of the two paths.
 """
 
 from __future__ import annotations
@@ -72,12 +75,12 @@ def _check_normals(normals, n_particles):
 
 
 def _real_part(value, scale, what):
-    imag = np.abs(np.imag(value))
-    if np.any(imag > IMAG_TOLERANCE * np.maximum(scale, 1e-300)):
+    imag = abs(value.imag)
+    if (imag > IMAG_TOLERANCE * np.maximum(scale, 1e-300)).any():
         raise ConsistencyError(
-            f"{what} has imaginary residue {np.max(imag):.3e} "
+            f"{what} has imaginary residue {imag.max():.3e} "
             f"above policy threshold")
-    return np.real(value)
+    return value.real
 
 
 def _contraction_factor(n, mode):
@@ -137,6 +140,14 @@ class _BilinearTable:
     perm: np.ndarray       # (C, D) int
     phase: np.ndarray      # (C, D) complex
 
+    @functools.cached_property
+    def columns(self):
+        """Per component r: ``perm[:, r]`` and ``phase[:, r, None]``,
+        contiguous, sliced once rather than on every kernel call."""
+        return tuple((np.ascontiguousarray(p),
+                      np.ascontiguousarray(ph)[:, None])
+                     for p, ph in zip(self.perm.T, self.phase.T))
+
 
 @functools.lru_cache(maxsize=None)
 def _bilinear_table(n_particles, mode: SpinDimensionMode) -> _BilinearTable:
@@ -193,18 +204,19 @@ def _kernel_blocks(values, normals, n_particles, mode):
         # T_c summed over the components r in order, in two fixed buffers
         t = np.empty((len(table.perm), rows), dtype=complex)
         term = np.empty_like(t)
-        for r in range(len(v)):
+        for r, (cols, phase) in enumerate(table.columns):
             out = term if r else t
-            v.take(table.perm[:, r], axis=0, out=out, mode="wrap")
+            v.take(cols, axis=0, out=out, mode="wrap")
             out *= vc[r]
-            out *= table.phase[:, r, None]
+            out *= phase
             if r:
                 t += term
-        # a fresh array: the caller's normals are never written
-        a = np.empty((n_particles, m, rows), dtype=complex)
-        block = normals[lo:lo + rows]
-        a[:, 0] = block[:, :, 0].T
-        np.negative(block[:, :, 1:m].transpose(1, 2, 0), out=a[:, 1:])
+        # a fresh C-ordered copy, so the caller's normals are never
+        # written; imaginary parts +0.0, spatial real parts negated
+        a = normals[lo:lo + rows, :, :m].transpose(1, 2, 0).astype(
+            complex, order="C")
+        spatial = a.real[:, 1:]
+        np.negative(spatial, out=spatial)
         yield lo, t.reshape((m,) * n_particles + (rows,)), a, t[0].real
 
 

@@ -75,14 +75,13 @@ def _flow(psi, foliation, x):
     """
     grads = foliation.gradient(x)
     nn = minkowski_norm_sq(grads)
-    grad_ok = np.all(nn > 0, axis=-1)
+    grad_ok = (nn > 0).all(axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         normals = grads / np.sqrt(nn)[..., None]
         values = psi.evaluate_batch(x)
         j = currents_all_batch(values, normals, psi.n_particles, psi.mode)
         rho = minkowski_dot(j[..., 0, :], normals[..., 0, :])
-        denom = minkowski_dot(grads, j)
-        v = j / denom[..., None]
+        v = j / minkowski_dot(grads, j)[..., None]
     return v, rho, j, grad_ok
 
 
@@ -109,23 +108,25 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
     events = []
 
     active = np.arange(batch)
-    bad_node = np.zeros(batch, dtype=bool)
-    bad_grad = np.zeros(batch, dtype=bool)
+    # per active row: every stage of this step met a timelike gradient,
+    # and every stage a rho above the node threshold
+    grad_ok = np.ones(batch, dtype=bool)
+    rho_ok = np.ones(batch, dtype=bool)
 
     def stage(x):
         v, rho, j, ok = _flow(psi, foliation, x)
-        nonlocal bad_node, bad_grad
-        bad_grad |= ~ok
-        bad_node |= ok & ~(rho > node_threshold)
+        nonlocal grad_ok, rho_ok
+        grad_ok &= ok
+        rho_ok &= rho > node_threshold
         return v, j
 
     y = pts0.copy()
     k1, _ = stage(y)
+    labels = s_grid.tolist()
     for i in range(n_steps):
         if active.size == 0:
             break
-        s_here = float(s_grid[i])
-        s_next = float(s_grid[i + 1])
+        s_here, s_next = labels[i], labels[i + 1]
         h = s_next - s_here
 
         k2, _ = stage(y + (0.5 * h) * k1)
@@ -142,37 +143,33 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
         # the accepted point is checked, and its velocity is the next k1
         k_next, _ = stage(y_proj)
 
-        bad = bad_node | bad_grad
-        nun_ok = ~bad
-        if np.any(bad):
-            for row in np.nonzero(bad)[0]:
+        nun_ok = grad_ok & rho_ok
+        inside = foliation.contains_spatial(y_proj).all(axis=-1)
+        good = nun_ok & inside
+        if not good.all():
+            for row in np.flatnonzero(~nun_ok):
                 traj = int(active[row])
-                kind = EVENT_VALIDITY if bad_grad[row] else EVENT_NODE
+                kind = EVENT_NODE if grad_ok[row] else EVENT_VALIDITY
                 events.append((traj, s_here, kind))
                 valid[traj] = i
-
-        inside = np.all(foliation.contains_spatial(y_proj), axis=-1)
-        breach = nun_ok & ~inside
-        if np.any(breach):
-            for row in np.nonzero(breach)[0]:
+            breach = nun_ok & ~inside
+            for row in np.flatnonzero(breach):
                 traj = int(active[row])
                 events.append((traj, s_next, EVENT_VALIDITY))
                 valid[traj] = i
             out[active[breach], i + 1] = y_proj[breach]
+            # halted rows leave; the rows kept passed every check, so
+            # both masks restart all True
+            active, y_proj, k_next = active[good], y_proj[good], k_next[good]
+            grad_ok, rho_ok = grad_ok[good], rho_ok[good]
 
-        good = nun_ok & inside
-        if np.any(good):
-            drift = np.abs(foliation.label(y_proj[good]) - s_next)
-            if np.max(drift) > SYNC_TOLERANCE:
+        y, k1 = y_proj, k_next
+        if len(y):
+            drift = abs(foliation.label(y) - s_next)
+            if drift.max() > SYNC_TOLERANCE:
                 raise ConsistencyError(
-                    f"leaf projection left residue {np.max(drift):.3e}")
-            out[active[good], i + 1] = y_proj[good]
-
-        active = active[good]
-        y = y_proj[good]
-        k1 = k_next[good]
-        bad_node = np.zeros(len(active), dtype=bool)
-        bad_grad = np.zeros(len(active), dtype=bool)
+                    f"leaf projection left residue {drift.max():.3e}")
+        out[active, i + 1] = y
 
     # freeze halted trajectories at their last valid configuration
     for t in range(batch):

@@ -106,11 +106,10 @@ class Foliation:
     def contains_spatial(self, x):
         """Whether the spatial part of x lies in the validity box (broadcast)."""
         if self.validity_box is None:
-            return np.ones(np.asarray(x).shape[:-1], dtype=bool)
+            return np.ones(np.shape(x)[:-1], dtype=bool)
         xi = np.asarray(x)[..., 1:1 + self.spatial_dims]
-        lo = self.validity_box[:, 0]
-        hi = self.validity_box[:, 1]
-        return np.all((xi >= lo) & (xi <= hi), axis=-1)
+        lo, hi = self.validity_box.T
+        return ((xi >= lo) & (xi <= hi)).all(axis=-1)
 
     def _scan_grid(self, resolution):
         if self.validity_box is None:
@@ -170,11 +169,12 @@ class ConstantNormal(Foliation):
         self.triad = np.array(triad)
 
     def label(self, x):
-        return minkowski_dot(self.n, np.asarray(x, dtype=float))
+        return minkowski_dot(self.n, x)
 
     def gradient(self, x):
-        x = np.asarray(x)
-        return np.broadcast_to(self.n, x.shape[:-1] + (4,)).copy()
+        g = np.empty(np.shape(x)[:-1] + (4,))
+        g[...] = self.n
+        return g
 
     def leaf_point(self, s, xi):
         xi = np.asarray(xi, dtype=float)
@@ -184,11 +184,11 @@ class ConstantNormal(Foliation):
         return x
 
     def chart_coords(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-minkowski_dot(e, x) for e in self.triad], axis=-1)
+        # against the whole triad at once, through (..., sd, 4)
+        return -minkowski_dot(self.triad, np.asarray(x)[..., None, :])
 
     def chart_velocity(self, x, v):
-        return np.stack([-minkowski_dot(e, v) for e in self.triad], axis=-1)
+        return -minkowski_dot(self.triad, np.asarray(v)[..., None, :])
 
     def area_element(self, s, xi):
         xi = np.asarray(xi)

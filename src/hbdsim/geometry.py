@@ -58,10 +58,10 @@ class SpinDimensionMode(Enum):
 
 def minkowski_dot(a, b):
     """a.b = a^0 b^0 - a^1 b^1 - a^2 b^2 - a^3 b^3, broadcast over leading axes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
-            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+    # one multiply for the four products, then the formula's subtractions
+    # in its order, so the bits are the formula's
+    p = np.multiply(a, b)
+    return p[..., 0] - p[..., 1] - p[..., 2] - p[..., 3]
 
 
 def minkowski_norm_sq(a):

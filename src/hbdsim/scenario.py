@@ -130,8 +130,10 @@ def _parse_foliation(block, spatial_dims):
 
 def _parse_mode_params(entry, mass, mode):
     try:
-        return make_mode(entry["p"], mass, entry.get("energy_sign", 1),
-                         entry.get("spin_label", 1), mode)
+        return make_mode(entry["p"], mass,
+                         _integer(entry, "energy_sign", 1, "wavefunction", -1),
+                         _integer(entry, "spin_label", 1, "wavefunction", 1),
+                         mode)
     except (KeyError, ValueError) as exc:
         _fail("wavefunction", f"bad mode parameters {entry!r}: {exc}")
 
@@ -144,15 +146,18 @@ def _expand_packet(packet, mass, mode, foliation, default_s):
         p0 = np.atleast_1d(np.asarray(packet["p0"], dtype=float))
         sigma_p = float(packet["sigma_p"])
         dp = float(packet["dp"])
-        half = int(packet["half_modes"])
+        half = _integer(packet, "half_modes", None, "wavefunction", 0)
         center_xi = np.atleast_1d(np.asarray(packet["center_xi"], dtype=float))
     except KeyError as exc:
         _fail("wavefunction", f"packet missing parameter {exc}")
-    if sigma_p <= 0 or dp <= 0 or half < 0:
-        _fail("wavefunction", "packet needs sigma_p > 0, dp > 0, half_modes >= 0")
-    axis = int(packet.get("axis", 0))
-    sign = int(packet.get("energy_sign", 1))
-    label = int(packet.get("spin_label", 1))
+    if sigma_p <= 0 or dp <= 0:
+        _fail("wavefunction", "packet needs sigma_p > 0 and dp > 0")
+    axis = _integer(packet, "axis", 0, "wavefunction", 0)
+    if axis >= mode.spatial_dims:
+        _fail("wavefunction", f"packet axis {axis} needs axis < "
+              f"{mode.spatial_dims} in {mode.value}")
+    sign = _integer(packet, "energy_sign", 1, "wavefunction", -1)
+    label = _integer(packet, "spin_label", 1, "wavefunction", 1)
     center_s = float(packet.get("center_s", default_s))
     xbar = foliation.leaf_point(center_s, center_xi)
 

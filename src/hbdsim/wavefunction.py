@@ -17,7 +17,9 @@ each other, so the same kernel serves row batches (one point tuple per
 row) and tensor grids given as per-particle point sets, where each factor
 is evaluated on its own particle's points only. Every operation is
 elementwise or a sum in a fixed order, so values do not depend on batch
-shape or grid layout.
+shape or grid layout. The integrator evaluates psi once per RK stage,
+often on 2-4 rows, where a call's fixed cost outweighs its arithmetic, so
+what every call would recompute is fixed at construction.
 
 A phase exp(-i theta), theta = p.x, comes from the tangent half-angle
 identity: with t = tan(theta / 2) and w = -2 / (1 + t^2),
@@ -177,7 +179,9 @@ class NParticleWavefunction:
         # per branch, the slot's factor as its modes' columns in that table
         # and their coefficients weight x spinor (n_f, d, 1), folded here
         self._coeffs = [c for c, _ in branches]
-        d = self.mode.spinor_dim
+        # read on every call, so fixed here rather than through the mode
+        d = self._spinor_dim = self.mode.spinor_dim
+        self._spatial_mus = tuple(self.mode.vector_indices[1:])
         self._slot_half_p4s = []
         self._slot_factor_tables = []
         self._chunk_points = []
@@ -223,7 +227,7 @@ class NParticleWavefunction:
         # imaginary views cost twice as much), then exp(-i p.x) =
         # (-1 - w) + i t w, written straight into those views
         t = half_p4s[:, 0, None] * x[:, 0]
-        for mu in self.mode.vector_indices[1:]:
+        for mu in self._spatial_mus:
             t -= half_p4s[:, mu, None] * x[:, mu]
         np.tan(t, out=t)
         w = t * t
@@ -239,18 +243,22 @@ class NParticleWavefunction:
 
         Rows are evaluated in blocks of ``BLOCK_ROWS`` through
         ``evaluate_slots``; every operation is row-wise, so the values do
-        not depend on the batch shape.
+        not depend on the batch shape. A batch of one block is returned as
+        ``evaluate_slots`` made it, without a copy.
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
             raise ValueError(f"points must have shape (..., {self.n_particles}, 4)")
-        rows = x.reshape((-1, self.n_particles, 4))
-        out = np.empty((rows.shape[0], self.dim), dtype=complex)
-        for lo in range(0, rows.shape[0], BLOCK_ROWS):
-            block = rows[lo:lo + BLOCK_ROWS]
+        # slot-major (N, rows, 4): slot k's points are slots[k]
+        slots = x.reshape((-1, self.n_particles, 4)).transpose(1, 0, 2)
+        shape = x.shape[:-2] + (self.dim,)
+        if slots.shape[1] <= BLOCK_ROWS:
+            return self.evaluate_slots(slots).reshape(shape)
+        out = np.empty((slots.shape[1], self.dim), dtype=complex)
+        for lo in range(0, slots.shape[1], BLOCK_ROWS):
             out[lo:lo + BLOCK_ROWS] = self.evaluate_slots(
-                [block[:, k] for k in range(self.n_particles)])
-        return out.reshape(x.shape[:-2] + (self.dim,))
+                slots[:, lo:lo + BLOCK_ROWS])
+        return out.reshape(shape)
 
     def evaluate_slots(self, slot_points) -> np.ndarray:
         """Values of psi from per-slot points, shape (..., D), C-contiguous.
@@ -268,7 +276,7 @@ class NParticleWavefunction:
                 x.shape[-1:] != (4,) or x.ndim != xs[0].ndim for x in xs):
             raise ValueError(f"expected {self.n_particles} point arrays of "
                              "shape (..., 4) with equally many axes")
-        d = self.mode.spinor_dim
+        d = self._spinor_dim
         factors = [self._slot_factors(k, x.reshape(-1, 4))
                    for k, x in enumerate(xs)]
         # component-major (D, ...); the branch sum starts from zero, which
@@ -279,26 +287,28 @@ class NParticleWavefunction:
             for k in range(1, self.n_particles):
                 kron = val[:, None] * factors[k][b].reshape(
                     (1, d) + xs[k].shape[:-1])
-                val = kron.reshape((-1,) + kron.shape[2:])
+                val = kron.reshape((len(kron) * d,) + kron.shape[2:])
             out = out + c_br * val
         return out.transpose(*range(1, out.ndim), 0).copy()
 
     def _slot_factors(self, k, x):
-        # per branch, slot k's factor values (d, P) at the points x (P, 4),
-        # chunk by chunk: each distinct phase once, then per factor its
-        # modes' phases times their coefficients, modes first, summed
+        # slot k's factor values (B, d, P), one per branch, at the points x
+        # (P, 4), chunk by chunk: each distinct phase once, then per factor
+        # its modes' phases times their coefficients, modes first, summed
         tables = self._slot_factor_tables[k]
         step = self._chunk_points[k]
-        out = [np.empty((self.mode.spinor_dim, x.shape[0]), dtype=complex)
-               for _ in tables]
+        out = np.empty((len(tables), self._spinor_dim, x.shape[0]),
+                       dtype=complex)
         for lo in range(0, x.shape[0], step):
-            ph = self._slot_phases(x[lo:lo + step], self._slot_half_p4s[k])
+            # (M, 1, P): a gather of modes is already (n_f, 1, P)
+            ph = self._slot_phases(x[lo:lo + step],
+                                   self._slot_half_p4s[k])[:, None]
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
             # from the first term, not from zero, which can only change the
             # sign of an exact zero, and the branch sum resets that
             for f, (cols, coef) in zip(out, tables):
-                np.add.reduce(ph.take(cols, axis=0)[:, None, :] * coef,
+                np.add.reduce(ph.take(cols, axis=0) * coef,
                               axis=0, out=f[:, lo:lo + step])
         return out
 

@@ -14,7 +14,12 @@ from hbdsim.dynamics import (
 from hbdsim.errors import ConsistencyError, NodeProximity
 from hbdsim.foliation import ConstantNormal, FlatTime, GraphLeaf, TanhProfile
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot
-from hbdsim.wavefunction import NParticleWavefunction, make_mode
+from hbdsim.scenario import (
+    bundled_scenario_names,
+    bundled_scenario_path,
+    load_scenario,
+)
+from hbdsim.wavefunction import BLOCK_ROWS, NParticleWavefunction, make_mode
 
 D11 = SpinDimensionMode.D11
 
@@ -63,6 +68,27 @@ def test_flat_velocity_reduces_to_guiding_law():
     assert np.max(np.abs(v[:, 0] - 1.0)) < 1e-12
     vq = bd_flat_velocity(psi, 0.0, q)
     assert np.max(np.abs(v[:, 1] - vq[:, 0])) < 1e-12
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_flow_of_a_few_rows_equals_their_rows_of_a_large_batch(name):
+    # a scenario's 2-4 starting configurations, alone and as rows of a
+    # 5000-row batch of configurations on the same leaf: the rows straddle
+    # the boundary of two evaluation blocks, and every output of _flow
+    # keeps its bits
+    sc = load_scenario(bundled_scenario_path(name))
+    x = sc.initial_configurations()
+    xi = np.random.default_rng(31).uniform(
+        -6.0, 6.0, size=(5000,) + sc.integration.initial_positions.shape[1:])
+    batch = sc.foliation.leaf_point(sc.integration.s0, xi)
+    rows = BLOCK_ROWS - 1 + np.arange(len(x))
+    assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS and rows[-1] >= BLOCK_ROWS
+    batch[rows] = x
+    few = _flow(sc.psi, sc.foliation, x)
+    many = _flow(sc.psi, sc.foliation, batch)
+    for a, b in zip(few, many):
+        assert a.shape == b[rows].shape
+        assert a.tobytes() == b[rows].tobytes()
 
 
 def test_rest_mode_stays_put():

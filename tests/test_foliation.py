@@ -123,6 +123,24 @@ def test_leaf_point_broadcasts_over_configurations(rng):
             assert np.array_equal(fol.leaf_point(s_all, xi), stacked)
 
 
+def test_constant_normal_gradient_is_a_fresh_array():
+    # callers may write into the gradient: each call returns its own
+    # writable C-contiguous array, and the foliation's normal stays intact
+    for fol in (ConstantNormal([1.2, 0.3, -0.4, 0.5]), FlatTime(1)):
+        n = fol.n.copy()
+        x = np.zeros((3, 2, 4))
+        g, again = fol.gradient(x), fol.gradient(x)
+        assert g.shape == (3, 2, 4) and g.dtype == float
+        assert g.flags.c_contiguous and g.flags.writeable and g.flags.owndata
+        assert not np.shares_memory(g, again)
+        assert not np.shares_memory(g, fol.n)
+        assert np.array_equal(g, np.broadcast_to(n, g.shape))
+        g[...] = 0.0
+        assert np.array_equal(fol.n, n)
+        assert np.array_equal(again, np.broadcast_to(n, g.shape))
+        assert fol.gradient(n).shape == (4,)
+
+
 def test_constant_normal_leaf_orthogonality():
     eta = 0.85
     n = [np.cosh(eta), np.sinh(eta), 0, 0]

@@ -33,6 +33,34 @@ def test_minkowski_dot_broadcasts():
     assert np.array_equal(out, expected)
 
 
+def _four_term(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
+
+
+def test_minkowski_dot_bitwise_four_term_formula(rng):
+    # the bits of the explicit four-term formula, signed zeros included,
+    # for a vector against (M, N, 4) in both orders, D11 data padded with
+    # +0.0 or -0.0, and D31 data
+    vec = rng.normal(size=4)
+    vec11 = np.array([vec[0], vec[1], 0.0, -0.0])
+    d31 = rng.normal(size=(5, 3, 4))
+    d11 = np.zeros((5, 3, 4))
+    d11[..., :2] = rng.normal(size=(5, 3, 2))
+    d11[0, 0, :2] = 0.0
+    d11_neg = d11.copy()
+    d11_neg[..., 2:] = -0.0
+    pairs = [(vec, d31), (d31, vec), (vec11, d11), (d11, vec11),
+             (vec11, d11_neg), (d11_neg, vec11), (d11, d11_neg),
+             (d11_neg, d11[:, :1]), (d31, rng.normal(size=(5, 3, 4))),
+             (d31[:, :1], d31), (vec, vec), (vec11, vec11)]
+    for a, b in pairs:
+        out, expected = minkowski_dot(a, b), _four_term(a, b)
+        assert np.shape(out) == np.shape(expected)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_clifford_relations(mode):
     eye = np.eye(mode.spinor_dim)

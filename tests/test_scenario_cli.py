@@ -47,10 +47,11 @@ def _packet(raw):
     return raw["wavefunction"]["branches"][0]["factors"][0]["packet"]
 
 
-def _modes_factor(raw, p=(0.5,), weight=(1.0, 0.0)):
-    """Mutation: the packet factor replaced by one explicit weighted mode."""
+def _modes_factor(raw, p=(0.5,), weight=(1.0, 0.0), **fields):
+    """Mutation: the packet factor replaced by one explicit weighted mode,
+    with any further mode ``fields``."""
     raw["wavefunction"]["branches"][0]["factors"] = [
-        {"modes": [{"p": list(p), "weight": list(weight)}]}]
+        {"modes": [{"p": list(p), "weight": list(weight), **fields}]}]
 
 
 def small_scenario_dict(size=120, s1=1.0):
@@ -181,6 +182,36 @@ def test_hash_tracks_content():
     pytest.param(lambda r: r.update(wavefunction={"terms": [
         {"coefficient": [float("inf"), 0.0], "modes": [{"p": [0.5]}]}]}),
                  "wavefunction", id="term-coefficient-infinite"),
+    pytest.param(lambda r: _packet(r).update(half_modes=True),
+                 "wavefunction", id="packet-half_modes-boolean"),
+    pytest.param(lambda r: _packet(r).update(half_modes=2.7),
+                 "wavefunction", id="packet-half_modes-fraction"),
+    pytest.param(lambda r: _packet(r).update(half_modes=-1),
+                 "wavefunction", id="packet-half_modes-negative"),
+    pytest.param(lambda r: _packet(r).update(axis=0.9),
+                 "wavefunction", id="packet-axis-fraction"),
+    pytest.param(lambda r: _packet(r).update(axis=True),
+                 "wavefunction", id="packet-axis-boolean"),
+    pytest.param(lambda r: _packet(r).update(axis=1),
+                 "wavefunction", id="packet-axis-beyond-spatial-dims"),
+    pytest.param(lambda r: _packet(r).update(energy_sign=True),
+                 "wavefunction", id="packet-energy_sign-boolean"),
+    pytest.param(lambda r: _packet(r).update(energy_sign=-0.5),
+                 "wavefunction", id="packet-energy_sign-fraction"),
+    pytest.param(lambda r: _packet(r).update(spin_label=True),
+                 "wavefunction", id="packet-spin_label-boolean"),
+    pytest.param(lambda r: _packet(r).update(spin_label=0.9),
+                 "wavefunction", id="packet-spin_label-fraction"),
+    pytest.param(lambda r: _modes_factor(r, energy_sign=True),
+                 "wavefunction", id="mode-energy_sign-boolean"),
+    pytest.param(lambda r: _modes_factor(r, energy_sign=1.0),
+                 "wavefunction", id="mode-energy_sign-float"),
+    pytest.param(lambda r: _modes_factor(r, spin_label=True),
+                 "wavefunction", id="mode-spin_label-boolean"),
+    pytest.param(lambda r: r.update(wavefunction={"terms": [
+        {"coefficient": [1.0, 0.0],
+         "modes": [{"p": [0.5], "energy_sign": True}]}]}),
+                 "wavefunction", id="term-energy_sign-boolean"),
 ])
 def test_validation_error_kinds(mutate, kind):
     raw = small_scenario_dict()

@@ -394,6 +394,14 @@ def test_blocked_evaluation_is_row_independent():
                               whole.reshape(50, 100, -1))
 
 
+def test_evaluate_batch_of_no_rows():
+    # an empty batch keeps its leading axes and gets the spin axis
+    for psi in _row_independence_states():
+        for lead in ((0,), (3, 0)):
+            out = psi.evaluate_batch(np.zeros(lead + (2, 4)))
+            assert out.shape == lead + (psi.dim,) and out.dtype == complex
+
+
 def test_exact_zero_components_are_positive_zero():
     # a rest mode's lower component is exactly zero; the branch sum starts
     # from zero, so psi reads +0.0 there whatever the signs of the zero
