@@ -26,9 +26,12 @@ so T_c is a sum of D permuted, phased products per configuration. The
 kernel works on component-major blocks of a fixed number of rows and sums
 in a fixed order, so its values do not depend on batch shape. The
 integrator calls it once per RK stage, often on 2-4 rows, where the fixed
-cost of a call outweighs the arithmetic: the cached operator table holds
-each component's permutation and phase columns ready. Tests pin the
-agreement of the two paths.
+cost of a call outweighs the arithmetic, so all C x D terms of a block are
+formed in one pass: one gather through the cached permutation (D, C), two
+products (the conjugate component, the cached phases (D, C, 1)) and one
+sum over the components in order. A pass holds at most ``BLOCK_TERMS``
+terms, which bounds the temporaries for large D. Tests pin the agreement
+of the two paths.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ __all__ = [
 # bilinears are mathematically real; anything above this (relative to the
 # squared spinor norm) indicates a representation bug, not roundoff
 IMAG_TOLERANCE = 1e-10
-BLOCK_ROWS = 1024      # rows per kernel block; bounds the temporaries
+BLOCK_ROWS = 1024      # most rows per kernel block
+BLOCK_TERMS = 1 << 16  # most terms D x C x rows per pass of a block;
+                       # bounds the temporaries (1 MB): D31 N=3 (D = C =
+                       # 64) takes 16 rows a pass, D11 N=2 a whole block
+_NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 
 def _check_normals(normals, n_particles):
@@ -134,19 +141,12 @@ def density_rho(psi, points, normals) -> float:
 @dataclass(frozen=True)
 class _BilinearTable:
     """The operators M_c = M_{c_1} x ... x M_{c_N} (M_0 = I, M_i = alpha^i)
-    for every multi-index c in C order, each stored by rows: row r of M_c
-    has its one nonzero entry ``phase[c, r]`` in column ``perm[c, r]``."""
+    for every multi-index c in C order, stored by rows and row-major for
+    the kernel: row r of M_c has its one nonzero entry ``phase[r, c, 0]``
+    in column ``perm[r, c]``."""
 
-    perm: np.ndarray       # (C, D) int
-    phase: np.ndarray      # (C, D) complex
-
-    @functools.cached_property
-    def columns(self):
-        """Per component r: ``perm[:, r]`` and ``phase[:, r, None]``,
-        contiguous, sliced once rather than on every kernel call."""
-        return tuple((np.ascontiguousarray(p),
-                      np.ascontiguousarray(ph)[:, None])
-                     for p, ph in zip(self.perm.T, self.phase.T))
+    perm: np.ndarray       # (D, C) int
+    phase: np.ndarray      # (D, C, 1) complex
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,19 +176,21 @@ def _bilinear_table(n_particles, mode: SpinDimensionMode) -> _BilinearTable:
             perm[-1].append(col)
             phase[-1].append(ph)
     # cached and shared by every caller, so read-only
-    perm = np.array(perm)
-    phase = np.array(phase, dtype=complex)
+    perm = np.array(perm).T.copy()
+    phase = np.array(phase, dtype=complex).T[:, :, None].copy()
     perm.setflags(write=False)
     phase.setflags(write=False)
     return _BilinearTable(perm, phase)
 
 
 def _kernel_blocks(values, normals, n_particles, mode):
-    """Yield (lo, t, a, scale) for each block of ``BLOCK_ROWS`` rows.
+    """Yield (lo, t, a, scale) for each block of rows.
 
     ``t`` holds the bilinears T_c = psi^dag M_c psi, shape (m,)*N + (rows,)
     with m = 1 + spatial dims; ``a`` the coefficients a_l(0) = n_l^0,
     a_l(i) = -n_l^i, shape (N, m, rows); ``scale`` psi^dag psi = Re T_0.
+    A block holds at most ``BLOCK_ROWS`` rows, and its bilinears are
+    formed in passes of at most ``BLOCK_TERMS`` terms.
     Every sum runs over a leading axis in a fixed order and everything else
     is elementwise, so no value depends on the batch shape.
     """
@@ -197,20 +199,24 @@ def _kernel_blocks(values, normals, n_particles, mode):
     normals = np.asarray(normals, dtype=float).reshape(-1, n_particles, 4)
     table = _bilinear_table(n_particles, mode)
     m = 1 + mode.spatial_dims
+    n_c = table.perm.shape[1]
+    step = max(1, BLOCK_TERMS // table.perm.size)   # rows per terms pass
     for lo in range(0, vals.shape[0], BLOCK_ROWS):
-        v = vals[lo:lo + BLOCK_ROWS].T.copy()        # (D, rows)
-        vc = v.conj()
+        v = vals[lo:lo + BLOCK_ROWS].T.copy()       # (D, rows)
+        vc = v.conj()[:, None]
         rows = v.shape[1]
-        # T_c summed over the components r in order, in two fixed buffers
-        t = np.empty((len(table.perm), rows), dtype=complex)
-        term = np.empty_like(t)
-        for r, (cols, phase) in enumerate(table.columns):
-            out = term if r else t
-            v.take(cols, axis=0, out=out, mode="wrap")
-            out *= vc[r]
-            out *= phase
-            if r:
-                t += term
+        # every term conj(psi_r) phase psi_perm of every T_c, (D, C, rows)
+        # in passes of at most BLOCK_TERMS, summed over the components r
+        # in order: r is the outermost axis, also for one row, so no
+        # pairwise summation, and the sum starts from -0.0, which leaves
+        # its first term's bits as they are
+        t = np.empty((n_c, rows), dtype=complex)
+        for r0 in range(0, rows, step):
+            terms = v[:, r0:r0 + step].take(table.perm, axis=0)
+            terms *= vc[..., r0:r0 + step]
+            terms *= table.phase
+            np.add.reduce(terms, axis=0, out=t[:, r0:r0 + step],
+                          initial=_NEGATIVE_ZERO)
         # a fresh C-ordered copy, so the caller's normals are never
         # written; imaginary parts +0.0, spatial real parts negated
         a = normals[lo:lo + rows, :, :m].transpose(1, 2, 0).astype(

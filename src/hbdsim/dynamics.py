@@ -71,17 +71,19 @@ def _flow(psi, foliation, x):
 
     Returns (v, rho, j, grad_ok): the parametrized velocities
     j_k/(df.j_k), the density j_1.n_1, the raw currents, and a mask of rows
-    whose gradient is timelike.
+    whose gradient is timelike. A row at a node or with a spacelike
+    gradient divides by zero or takes the root of a negative number; the
+    caller flags such rows, and enters ``np.errstate`` once around its
+    calls to silence numpy's warnings for them, not on every call.
     """
     grads = foliation.gradient(x)
     nn = minkowski_norm_sq(grads)
     grad_ok = (nn > 0).all(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normals = grads / np.sqrt(nn)[..., None]
-        values = psi.evaluate_batch(x)
-        j = currents_all_batch(values, normals, psi.n_particles, psi.mode)
-        rho = minkowski_dot(j[..., 0, :], normals[..., 0, :])
-        v = j / minkowski_dot(grads, j)[..., None]
+    normals = grads / np.sqrt(nn)[..., None]
+    values = psi.evaluate_batch(x)
+    j = currents_all_batch(values, normals, psi.n_particles, psi.mode)
+    rho = minkowski_dot(j[..., 0, :], normals[..., 0, :])
+    v = j / minkowski_dot(grads, j)[..., None]
     return v, rho, j, grad_ok
 
 
@@ -121,55 +123,56 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
         return v, j
 
     y = pts0.copy()
-    k1, _ = stage(y)
     labels = s_grid.tolist()
-    for i in range(n_steps):
-        if active.size == 0:
-            break
-        s_here, s_next = labels[i], labels[i + 1]
-        h = s_next - s_here
+    # node and spacelike rows are flagged and halted, not warned about
+    with np.errstate(invalid="ignore", divide="ignore"):
+        k1, _ = stage(y)
+        for i in range(n_steps):
+            if active.size == 0:
+                break
+            s_here, s_next = labels[i], labels[i + 1]
+            h = s_next - s_here
 
-        k2, _ = stage(y + (0.5 * h) * k1)
-        k3, _ = stage(y + (0.5 * h) * k2)
-        k4, j4 = stage(y + h * k3)
-        y_end = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2, _ = stage(y + (0.5 * h) * k1)
+            k3, _ = stage(y + (0.5 * h) * k2)
+            k4, j4 = stage(y + h * k3)
+            y_end = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        # one Newton correction along the fourth stage's current j4
-        # restores f(X_k) = s exactly enough
-        with np.errstate(invalid="ignore", divide="ignore"):
+            # one Newton correction along the fourth stage's current j4
+            # restores f(X_k) = s exactly enough
             lam = ((s_next - foliation.label(y_end))
                    / minkowski_dot(foliation.gradient(y_end), j4))
-        y_proj = y_end + lam[..., None] * j4
-        # the accepted point is checked, and its velocity is the next k1
-        k_next, _ = stage(y_proj)
+            y_proj = y_end + lam[..., None] * j4
+            # the accepted point is checked, and its velocity is the next k1
+            k_next, _ = stage(y_proj)
 
-        nun_ok = grad_ok & rho_ok
-        inside = foliation.contains_spatial(y_proj).all(axis=-1)
-        good = nun_ok & inside
-        if not good.all():
-            for row in np.flatnonzero(~nun_ok):
-                traj = int(active[row])
-                kind = EVENT_NODE if grad_ok[row] else EVENT_VALIDITY
-                events.append((traj, s_here, kind))
-                valid[traj] = i
-            breach = nun_ok & ~inside
-            for row in np.flatnonzero(breach):
-                traj = int(active[row])
-                events.append((traj, s_next, EVENT_VALIDITY))
-                valid[traj] = i
-            out[active[breach], i + 1] = y_proj[breach]
-            # halted rows leave; the rows kept passed every check, so
-            # both masks restart all True
-            active, y_proj, k_next = active[good], y_proj[good], k_next[good]
-            grad_ok, rho_ok = grad_ok[good], rho_ok[good]
+            nun_ok = grad_ok & rho_ok
+            inside = foliation.contains_spatial(y_proj).all(axis=-1)
+            good = nun_ok & inside
+            if not good.all():
+                for row in np.flatnonzero(~nun_ok):
+                    traj = int(active[row])
+                    kind = EVENT_NODE if grad_ok[row] else EVENT_VALIDITY
+                    events.append((traj, s_here, kind))
+                    valid[traj] = i
+                breach = nun_ok & ~inside
+                for row in np.flatnonzero(breach):
+                    traj = int(active[row])
+                    events.append((traj, s_next, EVENT_VALIDITY))
+                    valid[traj] = i
+                out[active[breach], i + 1] = y_proj[breach]
+                # halted rows leave; the rows kept passed every check, so
+                # both masks restart all True
+                active, y_proj, k_next = active[good], y_proj[good], k_next[good]
+                grad_ok, rho_ok = grad_ok[good], rho_ok[good]
 
-        y, k1 = y_proj, k_next
-        if len(y):
-            drift = abs(foliation.label(y) - s_next)
-            if drift.max() > SYNC_TOLERANCE:
-                raise ConsistencyError(
-                    f"leaf projection left residue {drift.max():.3e}")
-        out[active, i + 1] = y
+            y, k1 = y_proj, k_next
+            if len(y):
+                drift = abs(foliation.label(y) - s_next)
+                if drift.max() > SYNC_TOLERANCE:
+                    raise ConsistencyError(
+                        f"leaf projection left residue {drift.max():.3e}")
+            out[active, i + 1] = y
 
     # freeze halted trajectories at their last valid configuration
     for t in range(batch):
@@ -305,7 +308,8 @@ def sample_path_at_times(psi, foliation, ensemble: TrajectoryEnsemble, i, k,
     top = int(ensemble.valid_steps[i]) + 1
     path = ensemble.points[i, :top]
     pts = path[:, k - 1, :]
-    v, _, _, _ = _flow(psi, foliation, path)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v, _, _, _ = _flow(psi, foliation, path)
     vk = v[:, k - 1, :]
     tgrid = pts[:, 0]
     if np.any(np.diff(tgrid) <= 0):

@@ -212,9 +212,13 @@ class TanhProfile:
     def value(self, xi):
         return self.a * np.tanh(self.b * xi[..., 0])
 
+    def slope(self, u):
+        """dh/dxi_1 at xi_1 = u, the one nonzero component of grad h."""
+        return self.a * self.b / np.cosh(self.b * u) ** 2
+
     def grad(self, xi):
         g = np.zeros(xi.shape)
-        g[..., 0] = self.a * self.b / np.cosh(self.b * xi[..., 0]) ** 2
+        g[..., 0] = self.slope(xi[..., 0])
         return g
 
 
@@ -230,12 +234,15 @@ class RippleProfile:
         u = xi[..., 0]
         return self.a * np.sin(self.b * u) * np.exp(-u * u / self.w ** 2)
 
-    def grad(self, xi):
-        u = xi[..., 0]
+    def slope(self, u):
+        """dh/dxi_1 at xi_1 = u, the one nonzero component of grad h."""
         env = np.exp(-u * u / self.w ** 2)
+        return self.a * env * (self.b * np.cos(self.b * u)
+                               - (2.0 * u / self.w ** 2) * np.sin(self.b * u))
+
+    def grad(self, xi):
         g = np.zeros(xi.shape)
-        g[..., 0] = self.a * env * (self.b * np.cos(self.b * u)
-                                    - (2.0 * u / self.w ** 2) * np.sin(self.b * u))
+        g[..., 0] = self.slope(xi[..., 0])
         return g
 
 
@@ -257,11 +264,12 @@ class GraphLeaf(Foliation):
 
     def gradient(self, x):
         # contravariant components (1, grad h); raising the index of the
-        # covector (1, -grad h) flips the spatial sign
-        xi = self._spatial(x)
-        g = np.zeros(xi.shape[:-1] + (4,))
+        # covector (1, -grad h) flips the spatial sign. h depends on xi_1
+        # only, so the gradient is (1, h'(xi_1), 0, 0), built in one array
+        x = np.asarray(x, dtype=float)
+        g = np.zeros(x.shape[:-1] + (4,))
         g[..., 0] = 1.0
-        g[..., 1:1 + self.spatial_dims] = self.profile.grad(xi)
+        g[..., 1] = self.profile.slope(x[..., 1])
         return g
 
     def leaf_point(self, s, xi):

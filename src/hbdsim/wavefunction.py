@@ -6,20 +6,23 @@ equation, so the superposition solves all N multi-time equations exactly and
 can be evaluated at arbitrary spacetime point tuples - mixed coordinate
 times included - without any PDE grid.
 
-Evaluation runs in two stages. The factor stage takes each particle slot
-on its own. It computes each distinct plane-wave phase of the slot once
-per point; then, factor by factor, it gathers the phases of the factor's
-modes, multiplies each by the mode's coefficient (weight x spinor, folded
-once at construction) and sums the terms mode after mode (no BLAS). The
-combine stage takes Kronecker products of the factor values over the
-slots and sums the branches. The slots' point arrays broadcast against
-each other, so the same kernel serves row batches (one point tuple per
-row) and tensor grids given as per-particle point sets, where each factor
-is evaluated on its own particle's points only. Every operation is
-elementwise or a sum in a fixed order, so values do not depend on batch
-shape or grid layout. The integrator evaluates psi once per RK stage,
-often on 2-4 rows, where a call's fixed cost outweighs its arithmetic, so
-what every call would recompute is fixed at construction.
+Evaluation runs in two stages. The factor stage computes each distinct
+plane-wave phase of every particle slot once per point, for all slots in
+one pass over an (N, P, 4) array of the slots' points; then, slot by slot
+and factor by factor, it gathers the phases of the factor's modes,
+multiplies each by the mode's coefficient (weight x spinor, folded once at
+construction) and sums the terms mode after mode (no BLAS). The combine
+stage takes Kronecker products of the factor values over the slots and
+sums the branches. The slots' point arrays broadcast against each other,
+so the same kernel serves row batches (one point tuple per row) and
+tensor grids given as per-particle point sets, where each factor is
+evaluated on its own particle's points only; slot sets of unequal size
+are zero-padded to the largest, as are the slots' momentum tables. Every
+operation is elementwise or a sum in a fixed order, so values do not
+depend on batch shape or grid layout. The integrator evaluates psi once
+per RK stage, often on 2-4 rows, where a call's fixed cost outweighs its
+arithmetic, so what every call would recompute is fixed at construction
+and the phase pass runs once per chunk, not once per slot.
 
 A phase exp(-i theta), theta = p.x, comes from the tangent half-angle
 identity: with t = tan(theta / 2) and w = -2 / (1 + t^2),
@@ -41,6 +44,7 @@ picks its ``tan`` kernel by CPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,16 +179,16 @@ class NParticleWavefunction:
         self.branches = tuple(branches)
         self.dim = self.mode.spin_space_dim(self.n_particles)
         # per slot: the distinct four-momenta of all its factors, compared
-        # bitwise and stored halved (exact) for the half-angle phases; and
-        # per branch, the slot's factor as its modes' columns in that table
-        # and their coefficients weight x spinor (n_f, d, 1), folded here
+        # bitwise; and per branch, the slot's factor as its modes' columns
+        # in that table and their coefficients weight x spinor (n_f, d, 1),
+        # folded here
         self._coeffs = [c for c, _ in branches]
         # read on every call, so fixed here rather than through the mode
         d = self._spinor_dim = self.mode.spinor_dim
         self._spatial_mus = tuple(self.mode.vector_indices[1:])
-        self._slot_half_p4s = []
         self._slot_factor_tables = []
-        self._chunk_points = []
+        momenta = []
+        widths = []
         for k in range(n_particles):
             slot_factors = [fs[k] for _, fs in branches]
             columns = {}
@@ -195,15 +199,23 @@ class NParticleWavefunction:
                                  for _, md in factor], dtype=np.intp)
                 coef = np.array([w * md.w for w, md in factor], dtype=complex)
                 tables.append((cols, coef.reshape(len(factor), d, 1)))
-            self._slot_half_p4s.append(0.5 * np.array(
-                [np.frombuffer(key) for key in columns]))
+            momenta.append([np.frombuffer(key) for key in columns])
             self._slot_factor_tables.append(tables)
             # points per factor-stage chunk: the slot's largest factor keeps
             # its terms within CHUNK_TERMS, so the temporaries stay
             # cache-sized (as one chunk of 1024 rows they cost more in page
             # faults than in work)
             largest = max(len(f) for f in slot_factors)
-            self._chunk_points.append(max(1, CHUNK_TERMS // (largest * d)))
+            widths.append(max(1, CHUNK_TERMS // (largest * d)))
+        # every slot's table halved (exact) for the half-angle phases,
+        # component-major (4, N, M_max, 1); a shorter table is padded with
+        # zero momenta, whose phase is exactly 1 and is never gathered
+        half = np.zeros((4, n_particles, max(map(len, momenta)), 1))
+        for k, p4s in enumerate(momenta):
+            half[:, k, :len(p4s), 0] = 0.5 * np.array(p4s).T
+        self._slot_half_p4s = half
+        # one chunk width for all slots, the narrowest slot's
+        self._chunk_points = min(widths)
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -221,14 +233,16 @@ class NParticleWavefunction:
         return psi
 
     def _slot_phases(self, x, half_p4s):
-        # exp(-i p.x), modes-major (M, P), for a table of halved
-        # four-momenta (M, 4) at the points x (P, 4): t = tan(p.x / 2) and
-        # w = -2 / (1 + t^2) (contiguous: passes into the strided real and
-        # imaginary views cost twice as much), then exp(-i p.x) =
-        # (-1 - w) + i t w, written straight into those views
-        t = half_p4s[:, 0, None] * x[:, 0]
+        # exp(-i p.x), (N, M, P), for every slot's table of halved
+        # four-momenta, component-major (4, N, M, 1), at the slots' points x
+        # (N, P, 4): t = tan(p.x / 2) and w = -2 / (1 + t^2) (contiguous:
+        # passes into the strided real and imaginary views cost twice as
+        # much), then exp(-i p.x) = (-1 - w) + i t w, written straight into
+        # those views
+        xs = x.transpose(2, 0, 1)[:, :, None]       # (4, N, 1, P)
+        t = half_p4s[0] * xs[0]
         for mu in self._spatial_mus:
-            t -= half_p4s[:, mu, None] * x[:, mu]
+            t -= half_p4s[mu] * xs[mu]
         np.tan(t, out=t)
         w = t * t
         w += 1.0
@@ -241,10 +255,9 @@ class NParticleWavefunction:
     def evaluate_batch(self, points) -> np.ndarray:
         """Values of psi at a batch of point tuples, shape (..., N, 4) -> (..., D).
 
-        Rows are evaluated in blocks of ``BLOCK_ROWS`` through
-        ``evaluate_slots``; every operation is row-wise, so the values do
-        not depend on the batch shape. A batch of one block is returned as
-        ``evaluate_slots`` made it, without a copy.
+        Rows are evaluated in blocks of ``BLOCK_ROWS``; every operation is
+        row-wise, so the values do not depend on the batch shape. A batch
+        of one block is returned as the kernel made it, without a copy.
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
@@ -252,12 +265,15 @@ class NParticleWavefunction:
         # slot-major (N, rows, 4): slot k's points are slots[k]
         slots = x.reshape((-1, self.n_particles, 4)).transpose(1, 0, 2)
         shape = x.shape[:-2] + (self.dim,)
-        if slots.shape[1] <= BLOCK_ROWS:
-            return self.evaluate_slots(slots).reshape(shape)
-        out = np.empty((slots.shape[1], self.dim), dtype=complex)
-        for lo in range(0, slots.shape[1], BLOCK_ROWS):
-            out[lo:lo + BLOCK_ROWS] = self.evaluate_slots(
-                slots[:, lo:lo + BLOCK_ROWS])
+        rows = slots.shape[1]
+        if rows <= BLOCK_ROWS:
+            return self._evaluate(slots, [(rows,)] * self.n_particles
+                                  ).reshape(shape)
+        out = np.empty((rows, self.dim), dtype=complex)
+        for lo in range(0, rows, BLOCK_ROWS):
+            block = slots[:, lo:lo + BLOCK_ROWS]
+            out[lo:lo + BLOCK_ROWS] = self._evaluate(
+                block, [block.shape[1:2]] * self.n_particles)
         return out.reshape(shape)
 
     def evaluate_slots(self, slot_points) -> np.ndarray:
@@ -268,48 +284,61 @@ class NParticleWavefunction:
         each other. The N columns of a row block give one value per row,
         and per-particle point sets shaped as an outer product give psi on
         the whole tensor grid. Each factor is evaluated on its own slot's
-        points only (``_slot_factors``); the branches are then Kronecker
-        products over the slots, summed.
+        points only; slot sets of unequal size are zero-padded to the
+        largest, and the padding never reaches psi.
         """
         xs = [np.asarray(x, dtype=float) for x in slot_points]
         if len(xs) != self.n_particles or any(
                 x.shape[-1:] != (4,) or x.ndim != xs[0].ndim for x in xs):
             raise ValueError(f"expected {self.n_particles} point arrays of "
                              "shape (..., 4) with equally many axes")
+        shapes = [x.shape[:-1] for x in xs]
+        pts = np.zeros((self.n_particles, max(x.size for x in xs) // 4, 4))
+        for k, x in enumerate(xs):
+            pts[k, :x.size // 4] = x.reshape(-1, 4)
+        return self._evaluate(pts, shapes)
+
+    def _evaluate(self, pts, shapes):
+        # psi (..., D) from the slots' points pts (N, P, 4), of which slot k
+        # uses the first prod(shapes[k]) in the leading shape shapes[k]:
+        # the factors of every slot (``_slot_factors``), then per branch
+        # their Kronecker product over the slots, summed
         d = self._spinor_dim
-        factors = [self._slot_factors(k, x.reshape(-1, 4))
-                   for k, x in enumerate(xs)]
+        factors = self._slot_factors(pts)
+        sizes = [math.prod(s) for s in shapes]
         # component-major (D, ...); the branch sum starts from zero, which
         # also gives every exactly zero component the sign +0.0
         out = 0.0
         for b, c_br in enumerate(self._coeffs):
-            val = factors[0][b].reshape((d,) + xs[0].shape[:-1])
+            val = factors[0, b, :, :sizes[0]].reshape((d,) + shapes[0])
             for k in range(1, self.n_particles):
-                kron = val[:, None] * factors[k][b].reshape(
-                    (1, d) + xs[k].shape[:-1])
+                kron = val[:, None] * factors[k, b, :, :sizes[k]].reshape(
+                    (1, d) + shapes[k])
                 val = kron.reshape((len(kron) * d,) + kron.shape[2:])
             out = out + c_br * val
         return out.transpose(*range(1, out.ndim), 0).copy()
 
-    def _slot_factors(self, k, x):
-        # slot k's factor values (B, d, P), one per branch, at the points x
-        # (P, 4), chunk by chunk: each distinct phase once, then per factor
-        # its modes' phases times their coefficients, modes first, summed
-        tables = self._slot_factor_tables[k]
-        step = self._chunk_points[k]
-        out = np.empty((len(tables), self._spinor_dim, x.shape[0]),
-                       dtype=complex)
-        for lo in range(0, x.shape[0], step):
-            # (M, 1, P): a gather of modes is already (n_f, 1, P)
-            ph = self._slot_phases(x[lo:lo + step],
-                                   self._slot_half_p4s[k])[:, None]
+    def _slot_factors(self, x):
+        # the factor values (N, B, d, P) of every slot and branch at the
+        # slots' points x (N, P, 4), chunk by chunk: every slot's distinct
+        # phases in one pass, then per slot and factor its modes' phases
+        # times their coefficients, modes first, summed
+        tables = self._slot_factor_tables
+        step = self._chunk_points
+        out = np.empty((self.n_particles, len(self._coeffs), self._spinor_dim,
+                        x.shape[1]), dtype=complex)
+        for lo in range(0, x.shape[1], step):
+            # (N, M, 1, P): a gather of modes is already (n_f, 1, P)
+            ph = self._slot_phases(x[:, lo:lo + step],
+                                   self._slot_half_p4s)[:, :, None]
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
-            # from the first term, not from zero, which can only change the
-            # sign of an exact zero, and the branch sum resets that
-            for f, (cols, coef) in zip(out, tables):
-                np.add.reduce(ph.take(cols, axis=0) * coef,
-                              axis=0, out=f[:, lo:lo + step])
+            # from zero, which can only change the sign of an exact zero,
+            # and the branch sum resets that
+            for ph_k, out_k, tables_k in zip(ph, out, tables):
+                for f, (cols, coef) in zip(out_k, tables_k):
+                    np.add.reduce(ph_k.take(cols, axis=0) * coef,
+                                  axis=0, out=f[:, lo:lo + step])
         return out
 
     def evaluate(self, points) -> np.ndarray:

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hbdsim import currents as cmod
-from hbdsim.checks import random_curved_foliation, random_leaf_tuples
+from hbdsim.checks import (
+    random_curved_foliation,
+    random_leaf_tuples,
+    random_state,
+)
 from hbdsim.currents import (
     BLOCK_ROWS,
     currents_all_batch,
@@ -166,6 +172,34 @@ def test_kernel_bits_independent_of_batch_shape():
             assert np.array_equal(normals, normals_before)
 
 
+def test_kernel_memory_bound_d31_three_particles():
+    # D31 N=3: D = 64 components and C = 64 bilinears, so one pass over
+    # every term of 1024 rows would hold 64 MB; passes of BLOCK_TERMS keep
+    # the kernels' peak small, and both still match the dense Kronecker
+    # path row by row
+    rng = np.random.default_rng(67)
+    psi = random_state(rng, 3, D31)
+    fol = random_curved_foliation(rng, 3)
+    pts, normals = random_leaf_tuples(rng, fol, 3, 1024)
+    vals = psi.evaluate_batch(pts)
+    assert cmod._bilinear_table(3, D31).perm.size * 1024 == 1 << 22
+    tracemalloc.start()
+    try:
+        j = currents_all_batch(vals, normals, 3, D31)
+        rho = density_batch(vals, normals, 3, D31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20              # 5.3 MB measured; naive: 64 MB
+    for row in range(1024):
+        for k in range(1, 4):
+            j_dense = current_jk(psi, k, pts[row], normals[row])
+            scale = max(np.max(np.abs(j_dense)), 1e-300)
+            assert np.max(np.abs(j[row, k - 1] - j_dense)) < 1e-12 * scale
+        rho_dense = density_rho(psi, pts[row], normals[row])
+        assert abs(rho[row] - rho_dense) < 1e-12 * abs(rho_dense)
+
+
 def test_current_oracle_dense_kron(rng):
     # fully independent oracle: build psibar (B_1 x ... x B_N with slot k
     # replaced) from scratch with numpy only
@@ -275,10 +309,12 @@ def test_imaginary_residue_policy(monkeypatch):
 
 def test_bilinear_table_requires_one_entry_per_row(monkeypatch):
     table = cmod._bilinear_table(2, D31)
-    assert table.perm.shape == table.phase.shape == (16, 16)
+    # row-major: (D, C) and (D, C, 1)
+    assert table.perm.shape == (16, 16)
+    assert table.phase.shape == (16, 16, 1)
     # the identity multi-index comes first, in C order
-    assert np.array_equal(table.perm[0], np.arange(16))
-    assert np.all(table.phase[0] == 1)
+    assert np.array_equal(table.perm[:, 0], np.arange(16))
+    assert np.all(table.phase[:, 0] == 1)
     monkeypatch.setattr(cmod, "alpha", lambda i, mode: np.ones((2, 2)))
     with pytest.raises(ConsistencyError):
         cmod._bilinear_table.__wrapped__(1, D11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,33 @@ def test_validity_breach_event():
     assert kinds == {"validity_breach"}
     # frozen tail: the stored points after the halt repeat the last valid one
     assert np.array_equal(run.points[0, top + 2], run.points[0, top])
+
+
+def test_halting_batch_raises_no_numpy_warning():
+    # a node (psi identically zero: 0 / 0 in the velocity and the Newton
+    # step) and spacelike gradients (the root of a negative number) halt
+    # their rows without a numpy warning, also with warnings as errors:
+    # the integrator silences them once around its step loop
+    md = make_mode([0.5], 1.0, 1, 1, D11)
+    zero = NParticleWavefunction([(1.0, (md,)), (-1.0, (md,))])
+    steep = GraphLeaf(TanhProfile(2.0, 1.0), validity_box=[[-60, 60]],
+                      spatial_dims=1)                   # |h'| = 2 at xi = 0
+    xi = np.array([[[-4.0]], [[0.0]], [[0.1]], [[5.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        node = integrate_ensemble(zero, FlatTime(1),
+                                  FlatTime(1).leaf_point(0.0, xi), 0.0, 1.0,
+                                  0.05, node_threshold=1e-12)
+        spacelike = integrate_ensemble(single_mode_psi(0.6), steep,
+                                       steep.leaf_point(0.0, xi), 0.0, 1.0,
+                                       0.05)
+        times = spacelike.points[0, 3:9, 0, 0]
+        sample_path_at_times(single_mode_psi(0.6), steep, spacelike, 0, 1,
+                             times)
+    assert node.events == [(t, 0.0, "node_proximity") for t in range(4)]
+    assert spacelike.events == [(1, 0.0, "validity_breach"),
+                                (2, 0.0, "validity_breach")]
+    assert list(spacelike.valid_steps) == [20, 0, 0, 20]
 
 
 def test_ensemble_batch_and_worker_invariance(monkeypatch):

@@ -111,9 +111,10 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     points = []
     slot_factors = psi._slot_factors
 
-    def counting(k, x):
-        points.append((k, x.shape[0]))
-        return slot_factors(k, x)
+    def counting(x):
+        # x holds every slot's points, (N, P, 4)
+        points.extend((k, len(x_k)) for k, x_k in enumerate(x))
+        return slot_factors(x)
 
     monkeypatch.setattr(psi, "_slot_factors", counting)
     scan = dens.scan()

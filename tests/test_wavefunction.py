@@ -240,7 +240,13 @@ def test_shared_and_repeated_momenta_match_term_expansion(rng):
         for k in range(2):
             tables = psi._slot_factor_tables[k]
             assert sum(len(cols) for cols, _ in tables) == modes
-            assert len(psi._slot_half_p4s[k]) == distinct
+            # slot k's halved momenta, columns (4, M_max); a real momentum
+            # has a nonzero energy, the padding is all zero
+            half = psi._slot_half_p4s[:, k, :, 0]
+            real = half[0] != 0
+            assert np.count_nonzero(real) == distinct
+            assert len({p.tobytes() for p in half[:, real].T}) == distinct
+            assert not half[:, ~real].any()
         x = rng.normal(0.0, 4.0, size=(5, 2, 4))
         x[..., 1 + psi.mode.spatial_dims:] = 0.0
         expected = _term_sum(_expanded_terms(psi.branches), x)
@@ -296,21 +302,24 @@ def test_slot_phases_once_per_distinct_momentum(monkeypatch):
     slot_phases = psi._slot_phases
 
     def recording(x, p4s):
-        seen.append(p4s.shape[0])
-        return slot_phases(x, p4s)
+        out = slot_phases(x, p4s)
+        seen.append(out.shape)
+        return out
 
     monkeypatch.setattr(psi, "_slot_phases", recording)
     psi.evaluate_batch(np.random.default_rng(3).normal(size=(50, 2, 4)))
-    assert seen == [31, 31]
+    # one pass: both slots, 31 phases per slot and point, 50 points
+    assert seen == [(2, 31, 50)]
 
 
 def test_slot_phases_match_complex_exp():
     # the tangent half-angle phases against numpy's complex exp: random
     # arguments, the half-angle poles theta = (2k+1) pi with their
     # neighbours (|tan(theta / 2)| from 4e13 to 2e18 there), and both zeros;
-    # the table holds p / 2, so 0.5 stands for p = (1, 0) and theta = x^0
+    # the table holds p / 2, so 0.5 stands for p = (1, 0) and theta = x^0;
+    # one slot, one momentum, component-major (4, N, M, 1)
     psi = NParticleWavefunction([(1.0, (make_mode([0.3], 1.0, 1, 1, D11),))])
-    half = np.array([[0.5, 0.0, 0.0, 0.0]])
+    half = np.array([0.5, 0.0, 0.0, 0.0]).reshape(4, 1, 1, 1)
     poles = (2.0 * np.arange(-30, 31) + 1.0) * np.pi
     theta = np.concatenate([
         np.random.default_rng(17).uniform(-1e4, 1e4, 100_000),
@@ -318,37 +327,40 @@ def test_slot_phases_match_complex_exp():
         [0.0, -0.0]])
     x = np.zeros((theta.size, 4))
     x[:, 0] = theta
-    ph = psi._slot_phases(x, half)
-    assert ph.shape == (1, theta.size)
-    assert np.max(np.abs(ph[0] - np.exp(-1j * theta))) <= 1e-15
-    assert np.max(np.abs(np.abs(ph[0]) - 1.0)) <= 1e-15
-    nan = psi._slot_phases(np.full((3, 4), np.nan), half)
+    ph = psi._slot_phases(x[None], half)
+    assert ph.shape == (1, 1, theta.size)
+    assert np.max(np.abs(ph[0, 0] - np.exp(-1j * theta))) <= 1e-15
+    assert np.max(np.abs(np.abs(ph[0, 0]) - 1.0)) <= 1e-15
+    nan = psi._slot_phases(np.full((1, 3, 4), np.nan), half)
     assert np.all(np.isnan(nan.real)) and np.all(np.isnan(nan.imag))
 
 
 def test_slot_phases_bits_do_not_depend_on_the_window():
     # numpy's SIMD tan must treat the tail of an array like its vector
     # body: every window of the points, contiguous or strided, gives the
-    # bits of the matching slice of the whole table (31 momenta per row,
-    # so the windows also shift where each row starts in the vector lanes)
+    # bits of the matching slice of the whole table (two slots of 31
+    # momenta per point, so the windows also shift where each row starts
+    # in the vector lanes)
     psi = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
-    half = psi._slot_half_p4s[0]
-    x = np.random.default_rng(19).normal(0.0, 6.0, size=(2 * 4097 + 16, 4))
+    half = psi._slot_half_p4s
+    x = np.random.default_rng(19).normal(0.0, 6.0, size=(2, 2 * 4097 + 16, 4))
     whole = psi._slot_phases(x, half)
+    assert whole.shape == (2, 31, x.shape[1])
     for lo in range(17):
         for n in [*range(1, 18), 1023, 4097]:
-            assert np.array_equal(psi._slot_phases(x[lo:lo + n], half),
-                                  whole[:, lo:lo + n])
+            assert np.array_equal(psi._slot_phases(x[:, lo:lo + n], half),
+                                  whole[..., lo:lo + n])
             strided = slice(lo, lo + 2 * n, 2)
-            assert np.array_equal(psi._slot_phases(x[strided], half),
-                                  whole[:, strided])
-    # with one momentum, consecutive windows of n points put every point in
-    # the tail of some array, past the SIMD kernel's last full vector
-    one = psi._slot_phases(x, half[:1])
+            assert np.array_equal(psi._slot_phases(x[:, strided], half),
+                                  whole[..., strided])
+    # with one slot and one momentum, consecutive windows of n points put
+    # every point in the tail of some array, past the SIMD kernel's last
+    # full vector
+    one = psi._slot_phases(x[:1], half[:, :1, :1])
     for n in range(1, 18):
-        pieces = [psi._slot_phases(x[lo:lo + n], half[:1])
-                  for lo in range(0, len(x), n)]
-        assert np.array_equal(np.concatenate(pieces, axis=1), one)
+        pieces = [psi._slot_phases(x[:1, lo:lo + n], half[:, :1, :1])
+                  for lo in range(0, x.shape[1], n)]
+        assert np.array_equal(np.concatenate(pieces, axis=2), one)
 
 
 def _row_independence_states():
@@ -379,8 +391,8 @@ def test_blocked_evaluation_is_row_independent():
     x = np.random.default_rng(11).normal(0.0, 4.0, size=(5000, 2, 4))
     assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS
     for psi in _row_independence_states():
-        # the first block crosses a factor-stage chunk boundary in every slot
-        assert all(step < BLOCK_ROWS for step in psi._chunk_points)
+        # the first block crosses a factor-stage chunk boundary
+        assert psi._chunk_points < BLOCK_ROWS
         whole = psi.evaluate_batch(x)
         assert whole.shape == (5000, psi.dim) and whole.flags.c_contiguous
         for batch in (1, 2, 7):
@@ -392,6 +404,43 @@ def test_blocked_evaluation_is_row_independent():
         assert np.array_equal(whole, split)
         assert np.array_equal(psi.evaluate_batch(x.reshape(50, 100, 2, 4)),
                               whole.reshape(50, 100, -1))
+
+
+def test_grid_of_unequal_slot_sets_equals_its_row_batch():
+    # per-particle point sets of unequal size, shaped as an outer product,
+    # are zero-padded to the largest inside the kernel, and the D11 state's
+    # momentum tables (14 and 9 momenta) are padded too: the grid must
+    # equal the row batch of its point tuples bit for bit, the sign of
+    # zero included (the rest mode's lower component is exactly zero)
+    rng = np.random.default_rng(29)
+    rest = make_mode([0], 1.0, 1, 1, D11)
+    ma = make_mode([0.7], 1.0, 1, 1, D11)
+    mb = make_mode([-0.5], 1.0, -1, 1, D11)
+    three = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, rest)], [(1.0, ma), (0.3j, mb)], [(0.5, mb)]]),
+         (-0.4j, [[(0.2, rest)], [(1.0, mb)], [(1.0, rest), (0.7, ma)]])])
+    d11, d31 = _row_independence_states()
+    assert d11._slot_half_p4s.shape[2] == 14
+    assert np.count_nonzero(d11._slot_half_p4s[0, 1, :, 0]) == 9
+    cases = [(d11, (5, 900)), (d11, (900, 5)), (d31, (1, 37)),
+             (d31, (600, 3)), (three, (4, 1, 6)), (three, (3, 50, 2))]
+    for psi, sizes in cases:
+        n, sd = psi.n_particles, psi.mode.spatial_dims
+        slots = []
+        for k, size in enumerate(sizes):
+            x = rng.normal(0.0, 4.0, size=(size, 4))
+            x[:, 1 + sd:] = 0.0
+            slots.append(x.reshape((1,) * k + (size,) + (1,) * (n - 1 - k)
+                                   + (4,)))
+        grid = psi.evaluate_slots(slots)
+        rows = psi.evaluate_batch(np.stack(np.broadcast_arrays(*slots),
+                                           axis=-2))
+        assert grid.shape == rows.shape == sizes + (psi.dim,)
+        assert grid.flags.c_contiguous
+        assert np.array_equal(grid.view(np.uint64), rows.view(np.uint64))
+    # the last grid's exact zeros read +0.0
+    lower = grid[..., 4:]
+    assert np.all(lower == 0.0) and not np.signbit(lower.view(float)).any()
 
 
 def test_evaluate_batch_of_no_rows():
