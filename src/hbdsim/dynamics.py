@@ -100,13 +100,17 @@ def _label_grid(s0, s_end, step):
     return grid
 
 
-def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
-    """Fixed-step RK4 with leaf re-projection for one batch of trajectories."""
+def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold, out,
+                     valid):
+    """Fixed-step RK4 with leaf re-projection for one batch of trajectories.
+
+    Writes the points into ``out`` (batch, T+1, N, 4) and the valid steps
+    into ``valid`` (batch,); returns the batch's events.
+    """
     n_steps = len(s_grid) - 1
     batch = pts0.shape[0]
-    out = np.empty((batch, n_steps + 1) + pts0.shape[1:])
     out[:, 0] = pts0
-    valid = np.full(batch, n_steps, dtype=int)
+    valid[:] = n_steps
     events = []
 
     active = np.arange(batch)
@@ -178,7 +182,7 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold):
     for t in range(batch):
         if valid[t] < n_steps:
             out[t, valid[t] + 1:] = out[t, valid[t]]
-    return out, valid, events
+    return events
 
 
 def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
@@ -190,7 +194,9 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     Work is split into batches of ``BATCH_SIZE`` trajectories whose
     boundaries do not depend on ``workers``; together with the
     chunking-independent arithmetic of the batch kernels this makes the
-    output bit-identical for any worker count.
+    output bit-identical for any worker count. The (M, T+1, N, 4) points
+    array is allocated once and each batch writes its own slice, so the
+    run's memory peak is that array plus one batch's working set.
     """
     pts = np.asarray(initial_points, dtype=float)
     if pts.ndim != 3 or pts.shape[2] != 4:
@@ -204,11 +210,13 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     m_total = pts.shape[0]
     jobs = [(lo, min(lo + BATCH_SIZE, m_total))
             for lo in range(0, m_total, BATCH_SIZE)]
+    points = np.empty((m_total, len(s_grid)) + pts.shape[1:])
+    valid = np.empty(m_total, dtype=int)
 
     def run(job):
         lo, hi = job
         return _integrate_batch(psi, foliation, pts[lo:hi], s_grid,
-                                node_threshold)
+                                node_threshold, points[lo:hi], valid[lo:hi])
 
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -216,10 +224,8 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     else:
         results = [run(job) for job in jobs]
 
-    points = np.concatenate([r[0] for r in results], axis=0)
-    valid = np.concatenate([r[1] for r in results], axis=0)
     events = []
-    for (lo, _), (_, _, ev) in zip(jobs, results):
+    for (lo, _), ev in zip(jobs, results):
         events.extend((t + lo, s, kind) for t, s, kind in ev)
     return TrajectoryEnsemble(s_grid=s_grid, points=points, valid_steps=valid,
                               events=events, foliation=foliation)

@@ -14,6 +14,15 @@ grid sizes and the sampler's settings are the module constants below, not
 per-call parameters, so every grid stays within the caps that scenario
 parsing checks.
 
+Memory model: a grid evaluates each particle's factors, normals and area
+elements once, on that particle's own points; psi, the broadcast normals,
+the bilinear kernel and the area product then run slab by slab, at most
+``GRID_POINTS`` joint points a slab, and only rho and the weight are kept
+on the whole grid, so every reduction runs on a full-grid array and no
+result depends on the slab size. The sampler's weights run in blocks of
+the same bound. What grows with a run is the ensemble's trajectory array,
+which ``integrate_ensemble`` allocates once; that array sets the peak.
+
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index); every trajectory consumes only its own
 stream, so serial and parallel runs of any worker count produce identical
@@ -22,6 +31,7 @@ samples bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +62,9 @@ PROPOSAL_BLOCK = 64      # proposals drawn per pending sample and round
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
+GRID_POINTS = 1 << 13    # most joint grid points (or weight rows) per slab;
+                         # bounds the temporaries of psi, the normals and
+                         # the bilinear kernel
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -78,6 +91,28 @@ def _outer_product(factors):
     for a, f in enumerate(factors):
         out = out * f.reshape((-1,) + (1,) * (len(factors) - 1 - a))
     return out
+
+
+def _slabs(sizes):
+    # (rows, slab) for each slab of at most GRID_POINTS points of the
+    # tensor grid of point sets of the given sizes, in C order: the sets
+    # after the cut one whole, the cut set in runs and the sets before it
+    # pinned to one point each, so that ``rows`` is the slab's slice of
+    # the flattened grid; ``slab`` holds one slice per set
+    cut, inner = len(sizes) - 1, 1
+    while cut > 0 and inner * sizes[cut] <= GRID_POINTS:
+        inner *= sizes[cut]
+        cut -= 1
+    step = max(1, GRID_POINTS // inner)
+    whole = (slice(None),) * (len(sizes) - 1 - cut)
+    lo = 0
+    for pinned in np.ndindex(*sizes[:cut]):
+        head = tuple(slice(i, i + 1) for i in pinned)
+        for start in range(0, sizes[cut], step):
+            n = min(step, sizes[cut] - start) * inner
+            yield (slice(lo, lo + n),
+                   head + (slice(start, start + step),) + whole)
+            lo += n
 
 
 def _auto_resolution(dims):
@@ -141,16 +176,26 @@ class LeafDensity:
         return self.foliation.normal(pts)
 
     def weight(self, xi):
-        """Unnormalized sampling weight at chart tuples (..., N, sd)."""
+        """Unnormalized sampling weight at chart tuples (..., N, sd).
+
+        Rows are evaluated in blocks of ``GRID_POINTS``; every operation is
+        row-wise, so the values do not depend on the batch shape.
+        """
         xi = np.asarray(xi, dtype=float)
-        pts = self.foliation.leaf_point(self.s, xi)
-        vals = self.psi.evaluate_batch(pts)
-        rho = density_batch(vals, self._normals(pts), self.psi.n_particles,
-                            self.psi.mode)
-        area = np.ones(xi.shape[:-2])
-        for k in range(self.psi.n_particles):
-            area = area * self.foliation.area_element(self.s, xi[..., k, :])
-        return rho * area
+        rows = xi.reshape((-1,) + xi.shape[-2:])
+        out = np.empty(len(rows))
+        for lo in range(0, len(rows), GRID_POINTS):
+            block = rows[lo:lo + GRID_POINTS]
+            pts = self.foliation.leaf_point(self.s, block)
+            rho = density_batch(self.psi.evaluate_batch(pts),
+                                self._normals(pts), self.psi.n_particles,
+                                self.psi.mode)
+            area = np.ones(len(block))
+            for k in range(self.psi.n_particles):
+                area = area * self.foliation.area_element(self.s,
+                                                          block[:, k, :])
+            out[lo:lo + GRID_POINTS] = rho * area
+        return out.reshape(xi.shape[:-2])
 
     def weight_flat(self, u):
         return self.weight(self.chart_tuples(u))
@@ -160,12 +205,9 @@ class LeafDensity:
         n = self.psi.n_particles
         return a.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k) + a.shape[1:])
 
-    def _grid_psi(self, axes):
-        # on the tensor grid of the per-axis 1-D nodes ``axes``: each
-        # particle's leaf points (P_k, 4) on its own axes, psi (P_0, ...,
-        # P_{N-1}, D) from those points as an outer product over the
-        # particles, and the product of the area elements, shape
-        # (len(axes[0]), ...)
+    def _grid_points(self, axes):
+        # each particle's leaf points (P_k, 4) and area elements (P_k,) on
+        # its own axes of the per-axis 1-D nodes ``axes``
         sd = self.foliation.spatial_dims
         points, areas = [], []
         for k in range(self.psi.n_particles):
@@ -173,27 +215,47 @@ class LeafDensity:
             xi = np.stack([m.ravel() for m in mesh], axis=-1)
             points.append(self.foliation.leaf_point(self.s, xi))
             areas.append(self.foliation.area_element(self.s, xi))
-        vals = self.psi.evaluate_slots(
-            [self._slot(k, p) for k, p in enumerate(points)])
-        shape = tuple(len(a) for a in axes)
-        return points, vals, _outer_product(areas).reshape(shape)
+        return points, areas
 
-    def _grid_normals(self, normals, vals):
-        # each particle's normals (P_k, 4) broadcast to psi's grid
+    def _grid_slabs(self, points):
+        # (rows, slab, psi) for each slab of the tensor grid of the
+        # particles' point sets ``points``, in C order: ``rows`` is the
+        # slab's slice of the flattened grid, ``slab`` one slice per
+        # particle into its set and psi (n_0, ..., n_{N-1}, D). The factors
+        # are evaluated once for all slabs
+        slabs = list(_slabs([len(p) for p in points]))
+        values = self.psi.evaluate_slabs(points, [sl for _, sl in slabs])
+        for (rows, slab), vals in zip(slabs, values):
+            yield rows, slab, vals
+
+    def _grid_normals(self, normals, slab, vals):
+        # each particle's normals (P_k, 4), sliced to the slab and
+        # broadcast to psi's grid
         n = self.psi.n_particles
         out = np.empty(vals.shape[:-1] + (n, 4))
         for k in range(n):
-            out[..., k, :] = self._slot(k, normals[k])
+            out[..., k, :] = self._slot(k, normals[k][slab[k]])
         return out
 
-    def _grid_rho_area(self, axes):
-        # rho and the area product on the tensor grid of ``axes``; each
-        # particle's factors and normals are computed on its own points
-        points, vals, area = self._grid_psi(axes)
-        normals = self._grid_normals([self._normals(p) for p in points], vals)
-        rho = density_batch(vals, normals, self.psi.n_particles,
-                            self.psi.mode)
-        return rho.reshape(area.shape), area
+    def _grid_rho_weight(self, axes):
+        # rho and the weight rho * prod(area) on the tensor grid of
+        # ``axes``, shaped per axis. Each particle's factors, normals and
+        # area elements are computed once on its own points; psi, the
+        # broadcast normals, the bilinear kernel and the area product run
+        # per slab of at most ``GRID_POINTS`` joint points, written into
+        # the full-grid arrays
+        points, areas = self._grid_points(axes)
+        normals = [self._normals(p) for p in points]
+        size = math.prod(len(p) for p in points)
+        rho, w = np.empty(size), np.empty(size)
+        for rows, slab, vals in self._grid_slabs(points):
+            r = density_batch(vals, self._grid_normals(normals, slab, vals),
+                              self.psi.n_particles, self.psi.mode)
+            rho[rows] = r.ravel()
+            w[rows] = (r * _outer_product(
+                [a[s] for a, s in zip(areas, slab)])).ravel()
+        shape = tuple(len(a) for a in axes)
+        return rho.reshape(shape), w.reshape(shape)
 
     # -- scans and integrals -------------------------------------------------
     def _scan_axes(self, resolution):
@@ -203,8 +265,7 @@ class LeafDensity:
         """Grid maxima of the weight and of rho over the box (cached)."""
         if self._scan is None:
             axes = self._scan_axes(self.scan_resolution)
-            rho, area = self._grid_rho_area(axes)
-            w = rho * area
+            rho, w = self._grid_rho_weight(axes)
             imax = np.unravel_index(np.argmax(w), w.shape)
             self._scan = {
                 "max_weight": float(w[imax]),
@@ -235,8 +296,8 @@ class LeafDensity:
         # Gauss-Legendre nodes per axis and weight * quadrature weight on
         # their tensor grid, flattened in C order
         axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
-        rho, area = self._grid_rho_area(axes)
-        return axes, (rho * area * _outer_product(weights)).ravel()
+        w = self._grid_rho_weight(axes)[1]
+        return axes, (w * _outer_product(weights)).ravel()
 
     def normalization(self):
         """Z = integral of the weight over the box (Gauss-Legendre, cached)."""
@@ -270,8 +331,7 @@ class LeafDensity:
             nodes = mid[:, None] + half[:, None] * base_x[None, :]
             axes_nodes.append(nodes.ravel())
             axes_weights.append(half[:, None] * base_w[None, :])
-        rho, area = self._grid_rho_area(axes_nodes)
-        w = (rho * area).reshape(
+        w = self._grid_rho_weight(axes_nodes)[1].reshape(
             tuple(s for _ in range(self.dims) for s in (bins, BIN_ORDER)))
         for a in range(self.dims):
             shape = [1] * w.ndim
@@ -294,10 +354,10 @@ class LeafDensity:
         axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
         axes[axis] = grid
         del weights[axis]
-        rho, area = self._grid_rho_area(axes)
+        w = self._grid_rho_weight(axes)[1]
         # the marginal axis first and the others in order, C-contiguous, so
         # that each row sums over the cross nodes in quadrature order
-        w = np.ascontiguousarray(np.moveaxis(rho * area, axis, 0))
+        w = np.ascontiguousarray(np.moveaxis(w, axis, 0))
         pdf = np.sum(w.reshape(CDF_RESOLUTION, -1)
                      * _outer_product(weights).ravel(), axis=-1)
         dx = grid[1] - grid[0]
@@ -330,17 +390,22 @@ class LeafDensity:
             for side, edge in enumerate(self.axis_boxes[a]):
                 axes = self._scan_axes(res)
                 axes[a] = np.array([edge])
-                points, vals, area = self._grid_psi(axes)
-                normals = self._grid_normals(
-                    [self.foliation.normal(p) for p in points], vals)
-                j = currents_all_batch(vals, normals, n, self.psi.mode)
+                points, areas = self._grid_points(axes)
+                normals = [self.foliation.normal(p) for p in points]
                 grad_norm = np.sqrt(minkowski_norm_sq(
                     self.foliation.gradient(points[k])))
-                chart_v = self.foliation.chart_velocity(
-                    self._slot(k, points[k]), j[..., k, :])[..., comp]
-                outward = chart_v if side == 1 else -chart_v
-                flux = (area.reshape(chart_v.shape) * np.maximum(outward, 0.0)
-                        / self._slot(k, grad_norm))
+                flux = np.empty(math.prod(len(p) for p in points))
+                for rows, slab, vals in self._grid_slabs(points):
+                    j = currents_all_batch(
+                        vals, self._grid_normals(normals, slab, vals), n,
+                        self.psi.mode)
+                    chart_v = self.foliation.chart_velocity(
+                        self._slot(k, points[k][slab[k]]),
+                        j[..., k, :])[..., comp]
+                    outward = chart_v if side == 1 else -chart_v
+                    area = _outer_product([a[s] for a, s in zip(areas, slab)])
+                    flux[rows] = (area * np.maximum(outward, 0.0)
+                                  / self._slot(k, grad_norm[slab[k]])).ravel()
                 worst = max(worst, float(np.max(flux)))
         return worst / self.max_weight()
 

@@ -236,9 +236,11 @@ class RippleProfile:
 
     def slope(self, u):
         """dh/dxi_1 at xi_1 = u, the one nonzero component of grad h."""
-        env = np.exp(-u * u / self.w ** 2)
-        return self.a * env * (self.b * np.cos(self.b * u)
-                               - (2.0 * u / self.w ** 2) * np.sin(self.b * u))
+        w2 = self.w ** 2
+        bu = self.b * u
+        env = np.exp(-u * u / w2)
+        return self.a * env * (self.b * np.cos(bu)
+                               - (2.0 * u / w2) * np.sin(bu))
 
     def grad(self, xi):
         g = np.zeros(xi.shape)

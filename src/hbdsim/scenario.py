@@ -409,14 +409,13 @@ def write_trajectories_csv(path, ensemble, mode, content_hash, seed=None):
     with open(path, "w") as fh:
         fh.write(_header("trajectories", content_hash, seed))
         fh.write(f"trajectory,s,particle,{cols}\n")
-        for t in range(ensemble.n_trajectories):
-            top = int(ensemble.valid_steps[t])
-            for i in range(top + 1):
-                s = ensemble.s_grid[i]
-                for k in range(ensemble.points.shape[2]):
-                    vals = ",".join(_fmt(v) for v in
-                                    ensemble.points[t, i, k, :ncomp])
-                    fh.write(f"{t},{_fmt(s)},{k + 1},{vals}\n")
+        labels = [_fmt(s) for s in ensemble.s_grid.tolist()]
+        for t, top in enumerate(ensemble.valid_steps.tolist()):
+            rows = ensemble.points[t, :top + 1, :, :ncomp].tolist()
+            for s, row in zip(labels, rows):
+                for k, point in enumerate(row, 1):
+                    vals = ",".join(map(_fmt, point))
+                    fh.write(f"{t},{s},{k},{vals}\n")
 
 
 def write_events_csv(path, events, content_hash, seed=None):
@@ -433,10 +432,12 @@ def write_crossings_csv(path, crossing_set, content_hash, seed=None):
     with open(path, "w") as fh:
         fh.write(_header("crossings", content_hash, seed))
         fh.write(f"trajectory,s,{cols}\n")
-        for i in range(crossing_set.n_included):
-            vals = ",".join(_fmt(v) for v in crossing_set.chart[i].ravel())
-            fh.write(f"{int(crossing_set.trajectory_ids[i])},"
-                     f"{_fmt(crossing_set.s)},{vals}\n")
+        s = _fmt(crossing_set.s)
+        ids = crossing_set.trajectory_ids.tolist()
+        chart = crossing_set.chart.reshape(len(ids), n * sd).tolist()
+        for i, row in zip(ids, chart):
+            vals = ",".join(map(_fmt, row))
+            fh.write(f"{i},{s},{vals}\n")
 
 
 def read_csv_table(path):

@@ -17,7 +17,9 @@ sums the branches. The slots' point arrays broadcast against each other,
 so the same kernel serves row batches (one point tuple per row) and
 tensor grids given as per-particle point sets, where each factor is
 evaluated on its own particle's points only; slot sets of unequal size
-are zero-padded to the largest, as are the slots' momentum tables. Every
+are zero-padded to the largest, as are the slots' momentum tables. On a
+grid, the combine stage can run slab by slab on the factors of one factor
+pass (``evaluate_slabs``), which bounds its temporaries. Every
 operation is elementwise or a sum in a fixed order, so values do not
 depend on batch shape or grid layout. The integrator evaluates psi once
 per RK stage, often on 2-4 rows, where a call's fixed cost outweighs its
@@ -44,7 +46,6 @@ picks its ``tan`` kernel by CPU.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,13 +268,14 @@ class NParticleWavefunction:
         shape = x.shape[:-2] + (self.dim,)
         rows = slots.shape[1]
         if rows <= BLOCK_ROWS:
-            return self._evaluate(slots, [(rows,)] * self.n_particles
-                                  ).reshape(shape)
+            return self._combine(self._slot_factors(slots),
+                                 [(rows,)] * self.n_particles).reshape(shape)
         out = np.empty((rows, self.dim), dtype=complex)
         for lo in range(0, rows, BLOCK_ROWS):
             block = slots[:, lo:lo + BLOCK_ROWS]
-            out[lo:lo + BLOCK_ROWS] = self._evaluate(
-                block, [block.shape[1:2]] * self.n_particles)
+            out[lo:lo + BLOCK_ROWS] = self._combine(
+                self._slot_factors(block),
+                [block.shape[1:2]] * self.n_particles)
         return out.reshape(shape)
 
     def evaluate_slots(self, slot_points) -> np.ndarray:
@@ -293,27 +295,50 @@ class NParticleWavefunction:
             raise ValueError(f"expected {self.n_particles} point arrays of "
                              "shape (..., 4) with equally many axes")
         shapes = [x.shape[:-1] for x in xs]
-        pts = np.zeros((self.n_particles, max(x.size for x in xs) // 4, 4))
-        for k, x in enumerate(xs):
-            pts[k, :x.size // 4] = x.reshape(-1, 4)
-        return self._evaluate(pts, shapes)
+        return self._combine(self._set_factors(xs), shapes)
 
-    def _evaluate(self, pts, shapes):
-        # psi (..., D) from the slots' points pts (N, P, 4), of which slot k
-        # uses the first prod(shapes[k]) in the leading shape shapes[k]:
-        # the factors of every slot (``_slot_factors``), then per branch
+    def evaluate_slabs(self, point_sets, slabs):
+        """psi on slabs of the tensor grid of per-particle point sets.
+
+        ``point_sets[k]`` holds particle k's points, shape (P_k, 4), and
+        each slab is a tuple of N slices, one into each set. Every factor
+        is evaluated once, on its own set; then, slab after slab, this
+        yields psi on the tensor grid of the sliced sets, shape (n_0, ...,
+        n_{N-1}, D), C-contiguous, with the values ``evaluate_slots``
+        gives there. Only the combine stage runs per slab, so a slab's
+        size bounds the temporaries.
+        """
+        n = self.n_particles
+        factors = self._set_factors([np.asarray(x, dtype=float)
+                                     for x in point_sets])
+        for slab in slabs:
+            parts = [f[..., sl] for f, sl in zip(factors, slab)]
+            yield self._combine(parts, [
+                (1,) * k + (p.shape[-1],) + (1,) * (n - 1 - k)
+                for k, p in enumerate(parts)])
+
+    def _set_factors(self, xs):
+        # slot k's factor values (B, d, P_k) on its own points xs[k] (...,
+        # 4), from one factor pass over the sets zero-padded to the largest
+        sizes = [x.size // 4 for x in xs]
+        pts = np.zeros((self.n_particles, max(sizes), 4))
+        for k, x in enumerate(xs):
+            pts[k, :sizes[k]] = x.reshape(-1, 4)
+        return [f[..., :size]
+                for f, size in zip(self._slot_factors(pts), sizes)]
+
+    def _combine(self, factors, shapes):
+        # psi (..., D) from the slots' factor values factors[k] (B, d,
+        # prod(shapes[k])), in the leading shape shapes[k]: per branch
         # their Kronecker product over the slots, summed
         d = self._spinor_dim
-        factors = self._slot_factors(pts)
-        sizes = [math.prod(s) for s in shapes]
         # component-major (D, ...); the branch sum starts from zero, which
         # also gives every exactly zero component the sign +0.0
         out = 0.0
         for b, c_br in enumerate(self._coeffs):
-            val = factors[0, b, :, :sizes[0]].reshape((d,) + shapes[0])
+            val = factors[0][b].reshape((d,) + shapes[0])
             for k in range(1, self.n_particles):
-                kron = val[:, None] * factors[k, b, :, :sizes[k]].reshape(
-                    (1, d) + shapes[k])
+                kron = val[:, None] * factors[k][b].reshape((1, d) + shapes[k])
                 val = kron.reshape((len(kron) * d,) + kron.shape[2:])
             out = out + c_br * val
         return out.transpose(*range(1, out.ndim), 0).copy()

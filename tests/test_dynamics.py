@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,6 +299,22 @@ def test_ensemble_batch_and_worker_invariance(monkeypatch):
 def _curved_starts(fol, m, seed):
     xi = np.random.default_rng(seed).uniform(-1, 1, size=(m, 2, 1))
     return fol.leaf_point(0.0, xi)
+
+
+def test_ensemble_memory_peak_is_its_points_array():
+    # the (M, T+1, N, 4) points array is allocated once and each batch
+    # writes its own slice: no second copy of it at the end of the run
+    fol = curved()
+    pts0 = _curved_starts(fol, dynamics.BATCH_SIZE + 6, 11)
+    tracemalloc.start()
+    try:
+        ens = integrate_ensemble(entangled_psi(seed=23), fol, pts0, 0.0,
+                                 10.0, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.points.shape == (len(pts0), 201, 2, 4)
+    assert peak < 1.3 * ens.points.nbytes
 
 
 def test_four_psi_evaluations_per_step(monkeypatch):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hbdsim import ensemble
+from hbdsim.checks import random_curved_foliation, random_state
 from hbdsim.currents import currents_all_batch, density_batch
 from hbdsim.dynamics import SYNC_TOLERANCE, integrate_ensemble
 from hbdsim.ensemble import (
@@ -27,6 +30,7 @@ from hbdsim.errors import (
 )
 from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot, minkowski_norm_sq
+from hbdsim.scenario import bundled_scenario_path, load_scenario
 from hbdsim.wavefunction import NParticleWavefunction, make_mode
 
 D11 = SpinDimensionMode.D11
@@ -128,6 +132,147 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     pts = fol.leaf_point(dens.s, dens.chart_tuples(u))
     rho = density_batch(psi.evaluate_batch(pts), fol.normal(pts), 2, D11)
     assert scan["max_rho"] == np.max(rho)
+
+
+def _tanh_pair_density(res):
+    # a two-particle D11 state on a tanh leaf: two branches, one of them
+    # with a two-mode factor
+    fol = GraphLeaf(TanhProfile(0.8, 0.6), validity_box=[[-40, 40]],
+                    spatial_dims=1)
+    ma = make_mode([0.7], 1.0, 1, 1, D11)
+    mb = make_mode([-0.5], 1.0, 1, 1, D11)
+    psi = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(1.0, ma), (0.4, mb)], [(0.5j, mb)]]),
+         (0.3, [[(1.0, mb)], [(1.0, ma)]])])
+    return LeafDensity(fol, 0.0, psi, [[[-6.0, 5.0]], [[-5.0, 6.0]]], 16,
+                       scan_resolution=res)
+
+
+def test_scan_of_several_slabs_evaluates_factors_once(monkeypatch):
+    # cut into slabs, the scan still evaluates each particle's factors once
+    # on its own axis points, and gives the one-slab scan's bits
+    res = 41
+    whole = _tanh_pair_density(res).scan()
+    dens = _tanh_pair_density(res)
+    psi = dens.psi
+    points, slabs = [], []
+    slot_factors = psi._slot_factors
+    evaluate_slabs = psi.evaluate_slabs
+
+    def counting(x):
+        points.extend((k, len(x_k)) for k, x_k in enumerate(x))
+        return slot_factors(x)
+
+    def recording(point_sets, cuts):
+        slabs.extend(cuts)
+        return evaluate_slabs(point_sets, cuts)
+
+    monkeypatch.setattr(ensemble, "GRID_POINTS", 301)
+    monkeypatch.setattr(psi, "_slot_factors", counting)
+    monkeypatch.setattr(psi, "evaluate_slabs", recording)
+    scan = dens.scan()
+    monkeypatch.undo()
+    assert sorted(points) == [(0, res), (1, res)]
+    assert len(slabs) == 6                 # runs of 7, 7, 7, 7, 7, 6 rows
+    assert scan["max_weight"] == whole["max_weight"]
+    assert scan["max_rho"] == whole["max_rho"]
+    assert np.array_equal(scan["argmax"], whole["argmax"])
+
+
+def _headline_density():
+    sc = load_scenario(bundled_scenario_path("curved_n2_entangled"))
+    eb = sc.ensemble
+    return LeafDensity(sc.foliation, sc.integration.s0, sc.psi, eb.boxes,
+                       eb.quadrature_order, eb.scan_resolution)
+
+
+def _d31_one_particle_density():
+    rng = np.random.default_rng(31)
+    return LeafDensity(random_curved_foliation(rng, 3), 0.3,
+                       random_state(rng, 1, D31),
+                       [[[-3.0, 3.0], [-2.5, 3.0], [-3.0, 2.0]]], 8,
+                       scan_resolution=21)
+
+
+def _d11_three_particle_density():
+    rng = np.random.default_rng(113)
+    return LeafDensity(random_curved_foliation(rng, 1), -0.2,
+                       random_state(rng, 3, D11),
+                       [[[-3.0, 3.0]], [[-2.5, 3.0]], [[-3.0, 2.5]]], 10)
+
+
+def _grid_quantities(dens):
+    scan = dens.scan()
+    edges, masses = dens.bin_masses(3)
+    u = np.random.default_rng(5).uniform(size=(7, 64, dens.dims))
+    u = dens.axis_boxes[:, 0] + u * (dens.axis_boxes[:, 1]
+                                     - dens.axis_boxes[:, 0])
+    return {
+        "scan": [scan["max_weight"], scan["max_rho"], scan["argmax"]],
+        "normalization": dens.normalization(),
+        "quadrature_mean": [dens.quadrature_mean(a)
+                            for a in range(dens.dims)],
+        "bin_masses": [masses] + edges,
+        "marginal_cdf": [c for a in range(dens.dims)
+                         for c in dens.marginal_cdf(a)],
+        "boundary_relative_flux": dens.boundary_relative_flux(),
+        "weight": dens.weight_flat(u),
+    }
+
+
+@pytest.mark.parametrize("make", [_headline_density,
+                                  _d31_one_particle_density,
+                                  _d11_three_particle_density],
+                         ids=["headline", "d31_n1", "d11_n3"])
+def test_grid_quantities_do_not_depend_on_the_slab_size(monkeypatch, make):
+    # slabs of a small odd number of points (runs that end short, slabs
+    # cut in the first or in a later particle's points, weight blocks of
+    # the sampler's proposal rows) give a one-slab run's bits
+    monkeypatch.setattr(ensemble, "GRID_POINTS", 1 << 40)
+    whole = _grid_quantities(make())
+    monkeypatch.setattr(ensemble, "GRID_POINTS", 301)
+    slabbed = _grid_quantities(make())
+    for name, ref in whole.items():
+        got = slabbed[name]
+        if isinstance(ref, list):
+            assert len(got) == len(ref), name
+            for a, b in zip(got, ref):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), name
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_headline_grid_memory_is_bounded():
+    # the headline's 401 x 401 scan and its 2049 x 64 marginal CDF grid
+    # hold their full-grid arrays (1.3 MB and 1.0 MB each) and one slab's
+    # temporaries; evaluated whole, psi and the broadcast normals alone
+    # took 29.8 MB and 24.7 MB
+    dens = _headline_density()
+    assert dens.scan_resolution ** 2 > 8 * ensemble.GRID_POINTS
+    assert _traced_peak(dens.scan) < 8 * 2 ** 20
+    assert _traced_peak(lambda: dens.marginal_cdf(0)) < 8 * 2 ** 20
+
+
+def test_weight_memory_is_bounded():
+    # one sampler round of 2048 pending samples: 131072 proposal rows,
+    # weighed in blocks of GRID_POINTS rows
+    dens = _headline_density()
+    u = np.random.default_rng(3).uniform(size=(2048, 64, dens.dims))
+    u = dens.axis_boxes[:, 0] + u * (dens.axis_boxes[:, 1]
+                                     - dens.axis_boxes[:, 0])
+    w = []
+    peak = _traced_peak(lambda: w.append(dens.weight_flat(u)))
+    assert w[0].shape == (2048, 64)
+    assert peak < 8 * 2 ** 20
 
 
 def _row_flux(dens):
