@@ -17,8 +17,9 @@ parsing checks.
 Memory model: a grid evaluates each particle's factors, normals and area
 elements once, on that particle's own points; psi, the broadcast normals,
 the bilinear kernel and the area product then run slab by slab, at most
-``GRID_POINTS`` joint points a slab, and only rho and the weight are kept
-on the whole grid, so every reduction runs on a full-grid array and no
+``GRID_POINTS`` joint points a slab. Only the weight is kept on the whole
+grid, so every reduction runs on a full-grid array; of rho and of the
+boundary flux only each slab's maximum is kept, and a max is exact, so no
 result depends on the slab size. The sampler's weights run in blocks of
 the same bound. What grows with a run is the ensemble's trajectory array,
 which ``integrate_ensemble`` allocates once; that array sets the peak.
@@ -238,24 +239,24 @@ class LeafDensity:
         return out
 
     def _grid_rho_weight(self, axes):
-        # rho and the weight rho * prod(area) on the tensor grid of
-        # ``axes``, shaped per axis. Each particle's factors, normals and
-        # area elements are computed once on its own points; psi, the
-        # broadcast normals, the bilinear kernel and the area product run
-        # per slab of at most ``GRID_POINTS`` joint points, written into
-        # the full-grid arrays
+        # the largest rho and the weight rho * prod(area) on the tensor
+        # grid of ``axes``, shaped per axis. Each particle's factors,
+        # normals and area elements are computed once on its own points;
+        # psi, the broadcast normals, the bilinear kernel and the area
+        # product run per slab of at most ``GRID_POINTS`` joint points, the
+        # weight written into the full-grid array and rho kept only as its
+        # slab maxima (a max is exact, so theirs is the grid's)
         points, areas = self._grid_points(axes)
         normals = [self._normals(p) for p in points]
-        size = math.prod(len(p) for p in points)
-        rho, w = np.empty(size), np.empty(size)
+        w = np.empty(math.prod(len(p) for p in points))
+        peaks = []
         for rows, slab, vals in self._grid_slabs(points):
-            r = density_batch(vals, self._grid_normals(normals, slab, vals),
-                              self.psi.n_particles, self.psi.mode)
-            rho[rows] = r.ravel()
-            w[rows] = (r * _outer_product(
-                [a[s] for a, s in zip(areas, slab)])).ravel()
-        shape = tuple(len(a) for a in axes)
-        return rho.reshape(shape), w.reshape(shape)
+            rho = density_batch(vals, self._grid_normals(normals, slab, vals),
+                                self.psi.n_particles, self.psi.mode)
+            peaks.append(np.max(rho))
+            w[rows] = (rho * _outer_product(
+                [ar[s] for ar, s in zip(areas, slab)])).ravel()
+        return np.max(peaks), w.reshape(tuple(len(a) for a in axes))
 
     # -- scans and integrals -------------------------------------------------
     def _scan_axes(self, resolution):
@@ -265,11 +266,11 @@ class LeafDensity:
         """Grid maxima of the weight and of rho over the box (cached)."""
         if self._scan is None:
             axes = self._scan_axes(self.scan_resolution)
-            rho, w = self._grid_rho_weight(axes)
+            max_rho, w = self._grid_rho_weight(axes)
             imax = np.unravel_index(np.argmax(w), w.shape)
             self._scan = {
                 "max_weight": float(w[imax]),
-                "max_rho": float(np.max(rho)),
+                "max_rho": float(max_rho),
                 "argmax": np.array([a[i] for a, i in zip(axes, imax)]),
             }
         return self._scan
@@ -354,12 +355,18 @@ class LeafDensity:
         axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
         axes[axis] = grid
         del weights[axis]
-        w = self._grid_rho_weight(axes)[1]
+        w = np.moveaxis(self._grid_rho_weight(axes)[1], axis, 0)
+        cross = _outer_product(weights).ravel()
         # the marginal axis first and the others in order, C-contiguous, so
-        # that each row sums over the cross nodes in quadrature order
-        w = np.ascontiguousarray(np.moveaxis(w, axis, 0))
-        pdf = np.sum(w.reshape(CDF_RESOLUTION, -1)
-                     * _outer_product(weights).ravel(), axis=-1)
+        # that each row sums over the cross nodes in quadrature order; a
+        # row's sum does not depend on its block, and a block of rows holds
+        # at most ``GRID_POINTS`` points (or one row)
+        step = max(1, GRID_POINTS // len(cross))
+        pdf = np.empty(CDF_RESOLUTION)
+        for lo in range(0, CDF_RESOLUTION, step):
+            rows = np.ascontiguousarray(w[lo:lo + step])
+            pdf[lo:lo + step] = np.sum(rows.reshape(len(rows), -1) * cross,
+                                       axis=-1)
         dx = grid[1] - grid[0]
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
@@ -394,8 +401,9 @@ class LeafDensity:
                 normals = [self.foliation.normal(p) for p in points]
                 grad_norm = np.sqrt(minkowski_norm_sq(
                     self.foliation.gradient(points[k])))
-                flux = np.empty(math.prod(len(p) for p in points))
-                for rows, slab, vals in self._grid_slabs(points):
+                # the face's largest flux from its slab maxima (exact)
+                peaks = []
+                for _, slab, vals in self._grid_slabs(points):
                     j = currents_all_batch(
                         vals, self._grid_normals(normals, slab, vals), n,
                         self.psi.mode)
@@ -403,10 +411,11 @@ class LeafDensity:
                         self._slot(k, points[k][slab[k]]),
                         j[..., k, :])[..., comp]
                     outward = chart_v if side == 1 else -chart_v
-                    area = _outer_product([a[s] for a, s in zip(areas, slab)])
-                    flux[rows] = (area * np.maximum(outward, 0.0)
-                                  / self._slot(k, grad_norm[slab[k]])).ravel()
-                worst = max(worst, float(np.max(flux)))
+                    area = _outer_product(
+                        [ar[s] for ar, s in zip(areas, slab)])
+                    peaks.append(np.max(area * np.maximum(outward, 0.0)
+                                        / self._slot(k, grad_norm[slab[k]])))
+                worst = max(worst, float(np.max(peaks)))
         return worst / self.max_weight()
 
 

@@ -278,54 +278,32 @@ class NParticleWavefunction:
                 [block.shape[1:2]] * self.n_particles)
         return out.reshape(shape)
 
-    def evaluate_slots(self, slot_points) -> np.ndarray:
-        """Values of psi from per-slot points, shape (..., D), C-contiguous.
-
-        ``slot_points[k]`` holds particle k's points, shape (..., 4); the N
-        leading shapes have the same number of axes and broadcast against
-        each other. The N columns of a row block give one value per row,
-        and per-particle point sets shaped as an outer product give psi on
-        the whole tensor grid. Each factor is evaluated on its own slot's
-        points only; slot sets of unequal size are zero-padded to the
-        largest, and the padding never reaches psi.
-        """
-        xs = [np.asarray(x, dtype=float) for x in slot_points]
-        if len(xs) != self.n_particles or any(
-                x.shape[-1:] != (4,) or x.ndim != xs[0].ndim for x in xs):
-            raise ValueError(f"expected {self.n_particles} point arrays of "
-                             "shape (..., 4) with equally many axes")
-        shapes = [x.shape[:-1] for x in xs]
-        return self._combine(self._set_factors(xs), shapes)
-
     def evaluate_slabs(self, point_sets, slabs):
         """psi on slabs of the tensor grid of per-particle point sets.
 
         ``point_sets[k]`` holds particle k's points, shape (P_k, 4), and
         each slab is a tuple of N slices, one into each set. Every factor
-        is evaluated once, on its own set; then, slab after slab, this
-        yields psi on the tensor grid of the sliced sets, shape (n_0, ...,
-        n_{N-1}, D), C-contiguous, with the values ``evaluate_slots``
-        gives there. Only the combine stage runs per slab, so a slab's
-        size bounds the temporaries.
+        is evaluated once, on its own set; sets of unequal size are
+        zero-padded to the largest, and the padding never reaches psi.
+        Then, slab after slab, this yields psi on the tensor grid of the
+        sliced sets, shape (n_0, ..., n_{N-1}, D), C-contiguous; a slab of
+        whole sets gives psi on the whole grid. Only the combine stage runs
+        per slab, so a slab's size bounds the temporaries.
         """
         n = self.n_particles
-        factors = self._set_factors([np.asarray(x, dtype=float)
-                                     for x in point_sets])
+        # one factor pass over the sets zero-padded to the largest, then
+        # slot k's factor values (B, d, P_k) on its own points
+        sets = [np.asarray(x, dtype=float) for x in point_sets]
+        pts = np.zeros((n, max(len(x) for x in sets), 4))
+        for k, x in enumerate(sets):
+            pts[k, :len(x)] = x
+        factors = [f[..., :len(x)]
+                   for f, x in zip(self._slot_factors(pts), sets)]
         for slab in slabs:
             parts = [f[..., sl] for f, sl in zip(factors, slab)]
             yield self._combine(parts, [
                 (1,) * k + (p.shape[-1],) + (1,) * (n - 1 - k)
                 for k, p in enumerate(parts)])
-
-    def _set_factors(self, xs):
-        # slot k's factor values (B, d, P_k) on its own points xs[k] (...,
-        # 4), from one factor pass over the sets zero-padded to the largest
-        sizes = [x.size // 4 for x in xs]
-        pts = np.zeros((self.n_particles, max(sizes), 4))
-        for k, x in enumerate(xs):
-            pts[k, :sizes[k]] = x.reshape(-1, 4)
-        return [f[..., :size]
-                for f, size in zip(self._slot_factors(pts), sizes)]
 
     def _combine(self, factors, shapes):
         # psi (..., D) from the slots' factor values factors[k] (B, d,

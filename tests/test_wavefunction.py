@@ -407,11 +407,12 @@ def test_blocked_evaluation_is_row_independent():
 
 
 def test_grid_of_unequal_slot_sets_equals_its_row_batch():
-    # per-particle point sets of unequal size, shaped as an outer product,
-    # are zero-padded to the largest inside the kernel, and the D11 state's
-    # momentum tables (14 and 9 momenta) are padded too: the grid must
-    # equal the row batch of its point tuples bit for bit, the sign of
-    # zero included (the rest mode's lower component is exactly zero)
+    # per-particle point sets of unequal size, as one slab of the whole
+    # tensor grid, are zero-padded to the largest inside the kernel, and
+    # the D11 state's momentum tables (14 and 9 momenta) are padded too:
+    # the grid must equal the row batch of its point tuples bit for bit,
+    # the sign of zero included (the rest mode's lower component is
+    # exactly zero)
     rng = np.random.default_rng(29)
     rest = make_mode([0], 1.0, 1, 1, D11)
     ma = make_mode([0.7], 1.0, 1, 1, D11)
@@ -426,13 +427,14 @@ def test_grid_of_unequal_slot_sets_equals_its_row_batch():
              (d31, (600, 3)), (three, (4, 1, 6)), (three, (3, 50, 2))]
     for psi, sizes in cases:
         n, sd = psi.n_particles, psi.mode.spatial_dims
-        slots = []
+        sets, slots = [], []
         for k, size in enumerate(sizes):
             x = rng.normal(0.0, 4.0, size=(size, 4))
             x[:, 1 + sd:] = 0.0
+            sets.append(x)
             slots.append(x.reshape((1,) * k + (size,) + (1,) * (n - 1 - k)
                                    + (4,)))
-        grid = psi.evaluate_slots(slots)
+        grid = next(psi.evaluate_slabs(sets, [(slice(None),) * n]))
         rows = psi.evaluate_batch(np.stack(np.broadcast_arrays(*slots),
                                            axis=-2))
         assert grid.shape == rows.shape == sizes + (psi.dim,)
