@@ -115,6 +115,10 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
                              scenario.integration.step, threshold,
                              workers=workers)
     cross = crossings(ens, scenario.integration.s1)
+    # only the crossings and the events are read from here on, so the
+    # (M, T+1, N, 4) points array goes before the target-leaf grids
+    events = ens.events
+    del ens
 
     density1 = LeafDensity(scenario.foliation, scenario.integration.s1,
                            scenario.psi, ens_block.target_boxes,
@@ -149,7 +153,7 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
     })
     write_crossings_csv(outdir / "crossings.csv", cross,
                         scenario.content_hash, seed)
-    write_events_csv(outdir / "events.csv", ens.events, scenario.content_hash,
+    write_events_csv(outdir / "events.csv", events, scenario.content_hash,
                      seed)
     return payload
 

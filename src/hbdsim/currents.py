@@ -13,7 +13,7 @@ l != k and B_k = gamma^0 gamma^mu.
 Two implementations are kept deliberately. The dense Kronecker-matrix path
 is the obviously-correct reference, used by the public single-configuration
 operations and as a test oracle. The bilinear kernel serves the integrator
-and the ensemble machinery: each B_l is linear in the normal, B_l =
+and the sampler's weights: each B_l is linear in the normal, B_l =
 sum_i a_l(i) M_i with M_0 = I, M_i = alpha^i, a_l(0) = n_l^0 and a_l(i) =
 -n_l^i, so every current component and rho is a fixed combination of the
 (1 + spatial dims)^N normal-independent bilinears
@@ -32,6 +32,9 @@ products (the conjugate component, the cached phases (D, C, 1)) and one
 sum over the components in order. A pass holds at most ``BLOCK_TERMS``
 terms, which bounds the temporaries for large D. Tests pin the agreement
 of the two paths.
+
+The leaf-density grids split every bilinear over psi's branch pairs into
+one-particle bilinears instead (``_branch_pieces``).
 """
 
 from __future__ import annotations
@@ -269,6 +272,40 @@ def density_batch(values, normals, n_particles, mode: SpinDimensionMode):
     for lo, t, a, scale in _kernel_blocks(values, normals, n_particles, mode):
         out[lo:lo + len(scale)] = _real_part(_contract(t, a), scale, "rho")
     return out.reshape(lead)
+
+
+def _branch_pieces(factors, vectors, mode: SpinDimensionMode):
+    """One particle's pair pieces from its branch factors (B, d, P).
+
+    For the Q branch pairs b <= b' in ``np.triu_indices(B)`` order, the
+    bilinears h^i = f_b^dag M_i f_b' (M_0 = I, M_i = alpha^i) summed
+    against a(0) = v^0, a(i) = -v^i of the vectors v (P, 4), shape (Q, P):
+    at the leaf normals, each pair's factor of rho. The sums over the
+    components run in order, as in ``_kernel_blocks``, in passes of at most
+    ``BLOCK_TERMS`` terms; the pairs b = b' pass the reality guard.
+    """
+    table = _bilinear_table(1, mode)
+    d, m = table.perm.shape
+    left, right = np.triu_indices(len(factors))
+    diag = left == right
+    out = np.empty((len(left), factors.shape[-1]), dtype=complex)
+    step = max(1, BLOCK_TERMS // (d * m * len(left)))
+    phase = table.phase[..., None]                      # (d, m, 1, 1)
+    for lo in range(0, out.shape[-1], step):
+        f = factors[..., lo:lo + step]
+        # (d, m, Q, points), the component r outermost
+        terms = f[right].transpose(1, 0, 2).take(table.perm, axis=0)
+        terms *= f[left].transpose(1, 0, 2).conj()[:, None]
+        terms *= phase
+        h = np.add.reduce(terms, axis=0, initial=_NEGATIVE_ZERO)
+        h[:, diag] = _real_part(h[:, diag], h[0, diag].real,
+                                "a diagonal branch bilinear")
+        v = vectors[lo:lo + step]
+        piece = out[:, lo:lo + step]
+        np.multiply(h[0], v[:, 0], out=piece)
+        for i in range(1, m):
+            piece -= h[i] * v[:, i]
+    return out
 
 
 def divergence_residual(psi, k, points, normals, h) -> float:

@@ -9,20 +9,20 @@ leaf density. A finite-difference check of the flat-frame continuity
 equation lives here too.
 
 Every leaf-density grid (scan, quadrature, bin masses, marginal CDFs and
-the boundary-flux faces) is a tensor grid evaluated factor by factor. The
-grid sizes and the sampler's settings are the module constants below, not
+the boundary-flux faces) is a tensor grid of per-particle point sets. As
+psi = sum_b c_b (x)_k f_kb and rho's operator is (x)_k B_k, rho = sum over
+branch pairs b <= b' of Re(w_bb' prod_k g_k^{bb'}), with the pieces
+g_k^{bb'} = f_kb^dag B_k f_kb' on particle k's own points and w_bb' =
+conj(c_b) c_b', doubled for b < b'. An integral over a grid is then, pair
+by pair, a product of each particle's own weighted sums of its pieces. The
+scan's and the flux's maxima run over the joint grid, slab by slab (at
+most ``GRID_POINTS`` points), keeping only each slab's maxima and first
+argmax, which are exact, so no result depends on the slab size. Only the
+sampler's weights form psi, in blocks of the same bound. What grows with a
+run is the trajectory array that ``integrate_ensemble`` allocates once.
+The grid sizes and the sampler's settings are module constants, not
 per-call parameters, so every grid stays within the caps that scenario
 parsing checks.
-
-Memory model: a grid evaluates each particle's factors, normals and area
-elements once, on that particle's own points; psi, the broadcast normals,
-the bilinear kernel and the area product then run slab by slab, at most
-``GRID_POINTS`` joint points a slab. Only the weight is kept on the whole
-grid, so every reduction runs on a full-grid array; of rho and of the
-boundary flux only each slab's maximum is kept, and a max is exact, so no
-result depends on the slab size. The sampler's weights run in blocks of
-the same bound. What grows with a run is the ensemble's trajectory array,
-which ``integrate_ensemble`` allocates once; that array sets the peak.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index); every trajectory consumes only its own
@@ -32,12 +32,11 @@ samples bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import currents_all_batch, density_batch
+from .currents import _branch_pieces, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
                      LabelOutOfRange, NoSamples, SamplerStall)
 from .geometry import alpha, lift_to_particle, minkowski_norm_sq
@@ -64,8 +63,8 @@ ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
 GRID_POINTS = 1 << 13    # most joint grid points (or weight rows) per slab;
-                         # bounds the temporaries of psi, the normals and
-                         # the bilinear kernel
+                         # bounds the scan's and the flux faces' pair sums
+                         # and the sampler's psi and bilinear kernel
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -75,15 +74,15 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
 
 
 def _gauss_legendre_axes(boxes, order):
-    # per-axis Gauss-Legendre nodes and weights over a list of intervals
+    # per-axis Gauss-Legendre nodes and weights over a list of intervals,
+    # each (1, order): one cell of all the nodes
     base_x, base_w = np.polynomial.legendre.leggauss(order)
-    axes_nodes = []
-    axes_weights = []
+    nodes, weights = [], []
     for lo, hi in np.asarray(boxes, dtype=float):
         half = 0.5 * (hi - lo)
-        axes_nodes.append(lo + half * (base_x + 1.0))
-        axes_weights.append(half * base_w)
-    return axes_nodes, axes_weights
+        nodes.append(lo + half * (base_x[None] + 1.0))
+        weights.append(half * base_w[None])
+    return nodes, weights
 
 
 def _outer_product(factors):
@@ -92,6 +91,16 @@ def _outer_product(factors):
     for a, f in enumerate(factors):
         out = out * f.reshape((-1,) + (1,) * (len(factors) - 1 - a))
     return out
+
+
+def _pair_sum(pair_weights, parts):
+    # sum over the branch pairs q of Re(w_q prod_k parts[k][q]) on the outer
+    # product of the parts' point axes (Q, P_k), in pair order
+    n = len(parts)
+    t = pair_weights.reshape((-1,) + (1,) * n)
+    for k, p in enumerate(parts):
+        t = t * p.reshape((len(p),) + (1,) * k + (-1,) + (1,) * (n - 1 - k))
+    return np.add.reduce(t.real, axis=0)
 
 
 def _slabs(sizes):
@@ -131,13 +140,11 @@ class LeafDensity:
     control of the equivariance test.
 
     Every grid quantity (the scan, the normalization and quadrature means,
-    the bin masses, the marginal CDFs and the boundary flux) runs on a
-    tensor grid of per-axis nodes: each particle's leaf points, normals and
-    area elements are computed on its own axes, and psi takes the
-    particles' points as an outer product, so each factor is evaluated once
-    per own point rather than once per joint grid point. Only ``weight``
-    evaluates one row per configuration, for the sampler's random
-    proposals (``chart_tuples`` serves those rows).
+    the bin masses, the marginal CDFs and the boundary flux) is built from
+    each particle's points, normals, area elements and branch-pair pieces
+    on its own axes (see the module docstring). Only ``weight`` evaluates
+    psi, one row per configuration, for the sampler's proposals
+    (``chart_tuples`` serves those rows).
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -159,6 +166,13 @@ class LeafDensity:
         self.flat_normals = bool(flat_normals)
         if self.quad_order ** self.dims > MAX_QUADRATURE_NODES:
             raise ValueError("joint quadrature grid too large; lower the order")
+        # rho = sum over branch pairs b <= b' (``np.triu_indices`` order)
+        # of Re(w prod_k g_k), with w = conj(c_b) c_b' counted twice for
+        # b < b' (the pair b' b is its conjugate)
+        c = np.array([c for c, _ in psi.branches])
+        left, right = np.triu_indices(len(c))
+        self._pair_weights = (np.where(left == right, 1.0, 2.0)
+                              * (c[left].conj() * c[right]))
         self._scan = None
         self._z = None
 
@@ -201,11 +215,6 @@ class LeafDensity:
     def weight_flat(self, u):
         return self.weight(self.chart_tuples(u))
 
-    def _slot(self, k, a):
-        # particle k's per-point array (P_k, ...) shaped for the tensor grid
-        n = self.psi.n_particles
-        return a.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k) + a.shape[1:])
-
     def _grid_points(self, axes):
         # each particle's leaf points (P_k, 4) and area elements (P_k,) on
         # its own axes of the per-axis 1-D nodes ``axes``
@@ -218,45 +227,42 @@ class LeafDensity:
             areas.append(self.foliation.area_element(self.s, xi))
         return points, areas
 
-    def _grid_slabs(self, points):
-        # (rows, slab, psi) for each slab of the tensor grid of the
-        # particles' point sets ``points``, in C order: ``rows`` is the
-        # slab's slice of the flattened grid, ``slab`` one slice per
-        # particle into its set and psi (n_0, ..., n_{N-1}, D). The factors
-        # are evaluated once for all slabs
-        slabs = list(_slabs([len(p) for p in points]))
-        values = self.psi.evaluate_slabs(points, [sl for _, sl in slabs])
-        for (rows, slab), vals in zip(slabs, values):
-            yield rows, slab, vals
+    def _pieces(self, points, vectors=None):
+        # each particle's pair pieces (Q, P_k) on its own points, against
+        # the vectors[k] (P_k, 4) (by default the density's normals), from
+        # one factor pass over all particles' point sets
+        if vectors is None:
+            vectors = [self._normals(x) for x in points]
+        return [_branch_pieces(f, v, self.psi.mode) for f, v in
+                zip(self.psi.evaluate_factors(points), vectors)]
 
-    def _grid_normals(self, normals, slab, vals):
-        # each particle's normals (P_k, 4), sliced to the slab and
-        # broadcast to psi's grid
-        n = self.psi.n_particles
-        out = np.empty(vals.shape[:-1] + (n, 4))
-        for k in range(n):
-            out[..., k, :] = self._slot(k, normals[k][slab[k]])
-        return out
+    def _joint(self, parts, areas):
+        # (rows, pair sum of ``parts``, area product) for each slab of the
+        # tensor grid of the particles' point sets; ``rows`` is the slab's
+        # slice of the flattened grid
+        for rows, slab in _slabs([len(a) for a in areas]):
+            yield (rows,
+                   _pair_sum(self._pair_weights,
+                             [p[:, sl] for p, sl in zip(parts, slab)]),
+                   _outer_product([a[sl] for a, sl in zip(areas, slab)]))
 
-    def _grid_rho_weight(self, axes):
-        # the largest rho and the weight rho * prod(area) on the tensor
-        # grid of ``axes``, shaped per axis. Each particle's factors,
-        # normals and area elements are computed once on its own points;
-        # psi, the broadcast normals, the bilinear kernel and the area
-        # product run per slab of at most ``GRID_POINTS`` joint points, the
-        # weight written into the full-grid array and rho kept only as its
-        # slab maxima (a max is exact, so theirs is the grid's)
-        points, areas = self._grid_points(axes)
-        normals = [self._normals(p) for p in points]
-        w = np.empty(math.prod(len(p) for p in points))
-        peaks = []
-        for rows, slab, vals in self._grid_slabs(points):
-            rho = density_batch(vals, self._grid_normals(normals, slab, vals),
-                                self.psi.n_particles, self.psi.mode)
-            peaks.append(np.max(rho))
-            w[rows] = (rho * _outer_product(
-                [ar[s] for ar, s in zip(areas, slab)])).ravel()
-        return np.max(peaks), w.reshape(tuple(len(a) for a in axes))
+    def _integral(self, nodes, weights):
+        # the weight integrated cell by cell: ``nodes[a]`` and
+        # ``weights[a]`` are (cells, nodes per cell) per axis a; returns
+        # (cells_0, ...). Each particle sums its pieces against its area
+        # elements and quadrature weights, and the pairs combine the sums
+        sd = self.foliation.spatial_dims
+        points, areas = self._grid_points([x.ravel() for x in nodes])
+        sums = []
+        for k, (g, area) in enumerate(zip(self._pieces(points), areas)):
+            own = range(k * sd, (k + 1) * sd)
+            w = area * _outer_product([weights[a].ravel() for a in own]).ravel()
+            cells = (g * w).reshape(
+                (len(g),) + tuple(n for a in own for n in nodes[a].shape))
+            sums.append(cells.sum(axis=tuple(range(2, 2 * sd + 1, 2)))
+                        .reshape(len(g), -1))
+        return _pair_sum(self._pair_weights, sums).reshape(
+            tuple(len(x) for x in nodes))
 
     # -- scans and integrals -------------------------------------------------
     def _scan_axes(self, resolution):
@@ -266,10 +272,19 @@ class LeafDensity:
         """Grid maxima of the weight and of rho over the box (cached)."""
         if self._scan is None:
             axes = self._scan_axes(self.scan_resolution)
-            max_rho, w = self._grid_rho_weight(axes)
-            imax = np.unravel_index(np.argmax(w), w.shape)
+            points, areas = self._grid_points(axes)
+            # the slab maxima and the first argmax (max and argmax are
+            # exact, so these are the whole grid's)
+            max_rho, max_weight, imax = -np.inf, -np.inf, 0
+            for rows, rho, area in self._joint(self._pieces(points), areas):
+                w = rho * area
+                i = int(np.argmax(w))
+                if w.flat[i] > max_weight:
+                    max_weight, imax = w.flat[i], rows.start + i
+                max_rho = max(max_rho, np.max(rho))
+            imax = np.unravel_index(imax, tuple(len(a) for a in axes))
             self._scan = {
-                "max_weight": float(w[imax]),
+                "max_weight": float(max_weight),
                 "max_rho": float(max_rho),
                 "argmax": np.array([a[i] for a, i in zip(axes, imax)]),
             }
@@ -293,26 +308,23 @@ class LeafDensity:
     def max_rho(self):
         return self.scan()["max_rho"]
 
-    def _quadrature(self):
-        # Gauss-Legendre nodes per axis and weight * quadrature weight on
-        # their tensor grid, flattened in C order
-        axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
-        w = self._grid_rho_weight(axes)[1]
-        return axes, (w * _outer_product(weights)).ravel()
+    def _quadrature(self, axis=None):
+        # the weight (times chart coordinate ``axis``, if given) integrated
+        # over the box by tensor Gauss-Legendre quadrature
+        nodes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
+        if axis is not None:
+            weights[axis] = weights[axis] * nodes[axis]
+        return float(np.sum(self._integral(nodes, weights)))
 
     def normalization(self):
         """Z = integral of the weight over the box (Gauss-Legendre, cached)."""
         if self._z is None:
-            self._z = float(np.sum(self._quadrature()[1]))
+            self._z = self._quadrature()
         return self._z
 
     def quadrature_mean(self, axis):
         """Mean of one joint-chart coordinate under the normalized density."""
-        axes, w = self._quadrature()
-        shape = (1,) * axis + (-1,) + (1,) * (self.dims - 1 - axis)
-        coord = np.broadcast_to(axes[axis].reshape(shape),
-                                tuple(len(a) for a in axes)).ravel()
-        return float(np.sum(w * coord) / np.sum(w))
+        return self._quadrature(axis) / self.normalization()
 
     def bin_masses(self, bins_per_axis):
         """Normalized predicted masses on a regular joint binning.
@@ -324,25 +336,13 @@ class LeafDensity:
         bins = int(bins_per_axis)
         edges = [np.linspace(lo, hi, bins + 1) for lo, hi in self.axis_boxes]
         base_x, base_w = np.polynomial.legendre.leggauss(BIN_ORDER)
-        axes_nodes = []
-        axes_weights = []
+        nodes, weights = [], []
         for e in edges:
-            half = 0.5 * np.diff(e)
-            mid = 0.5 * (e[:-1] + e[1:])
-            nodes = mid[:, None] + half[:, None] * base_x[None, :]
-            axes_nodes.append(nodes.ravel())
-            axes_weights.append(half[:, None] * base_w[None, :])
-        w = self._grid_rho_weight(axes_nodes)[1].reshape(
-            tuple(s for _ in range(self.dims) for s in (bins, BIN_ORDER)))
-        for a in range(self.dims):
-            shape = [1] * w.ndim
-            shape[2 * a] = bins
-            shape[2 * a + 1] = BIN_ORDER
-            w = w * axes_weights[a].reshape(shape)
-        masses = w.sum(axis=tuple(range(1, 2 * self.dims, 2))
-                       if self.dims > 0 else ())
-        total = masses.sum()
-        return edges, masses / total
+            half = 0.5 * np.diff(e)[:, None]
+            nodes.append(0.5 * (e[:-1] + e[1:])[:, None] + half * base_x)
+            weights.append(half * base_w)
+        masses = self._integral(nodes, weights)
+        return edges, masses / masses.sum()
 
     def marginal_cdf(self, axis):
         """CDF of one joint coordinate on a fine grid (trapezoid-integrated).
@@ -352,21 +352,10 @@ class LeafDensity:
         """
         lo, hi = self.axis_boxes[axis]
         grid = np.linspace(lo, hi, CDF_RESOLUTION)
-        axes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
-        axes[axis] = grid
-        del weights[axis]
-        w = np.moveaxis(self._grid_rho_weight(axes)[1], axis, 0)
-        cross = _outer_product(weights).ravel()
-        # the marginal axis first and the others in order, C-contiguous, so
-        # that each row sums over the cross nodes in quadrature order; a
-        # row's sum does not depend on its block, and a block of rows holds
-        # at most ``GRID_POINTS`` points (or one row)
-        step = max(1, GRID_POINTS // len(cross))
-        pdf = np.empty(CDF_RESOLUTION)
-        for lo in range(0, CDF_RESOLUTION, step):
-            rows = np.ascontiguousarray(w[lo:lo + step])
-            pdf[lo:lo + step] = np.sum(rows.reshape(len(rows), -1) * cross,
-                                       axis=-1)
+        nodes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
+        nodes[axis] = grid[:, None]
+        weights[axis] = np.ones((CDF_RESOLUTION, 1))
+        pdf = self._integral(nodes, weights).ravel()
         dx = grid[1] - grid[0]
         cdf = np.concatenate(
             [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)])
@@ -389,7 +378,6 @@ class LeafDensity:
         normals even for a ``flat_normals`` density.
         """
         sd = self.foliation.spatial_dims
-        n = self.psi.n_particles
         res = _auto_resolution(max(self.dims - 1, 1))
         worst = 0.0
         for a in range(self.dims):
@@ -398,24 +386,21 @@ class LeafDensity:
                 axes = self._scan_axes(res)
                 axes[a] = np.array([edge])
                 points, areas = self._grid_points(axes)
-                normals = [self.foliation.normal(p) for p in points]
-                grad_norm = np.sqrt(minkowski_norm_sq(
-                    self.foliation.gradient(points[k])))
+                vectors = [self.foliation.normal(x) for x in points]
+                # particle k's outward chart velocity over |df| is linear in
+                # j_k, so its piece takes that map's coefficients a(mu):
+                # the chart velocity of each basis vector
+                x = points[k]
+                a_mu = self.foliation.chart_velocity(
+                    x[:, None], np.broadcast_to(np.eye(4), (len(x), 4, 4))
+                )[..., comp] / np.sqrt(minkowski_norm_sq(
+                    self.foliation.gradient(x)))[:, None]
+                vectors[k] = (a_mu if side == 1 else -a_mu) * [1, -1, -1, -1]
                 # the face's largest flux from its slab maxima (exact)
-                peaks = []
-                for _, slab, vals in self._grid_slabs(points):
-                    j = currents_all_batch(
-                        vals, self._grid_normals(normals, slab, vals), n,
-                        self.psi.mode)
-                    chart_v = self.foliation.chart_velocity(
-                        self._slot(k, points[k][slab[k]]),
-                        j[..., k, :])[..., comp]
-                    outward = chart_v if side == 1 else -chart_v
-                    area = _outer_product(
-                        [ar[s] for ar, s in zip(areas, slab)])
-                    peaks.append(np.max(area * np.maximum(outward, 0.0)
-                                        / self._slot(k, grad_norm[slab[k]])))
-                worst = max(worst, float(np.max(peaks)))
+                for _, outward, area in self._joint(
+                        self._pieces(points, vectors), areas):
+                    worst = max(worst, float(np.max(
+                        np.maximum(outward, 0.0) * area)))
         return worst / self.max_weight()
 
 

@@ -11,20 +11,18 @@ plane-wave phase of every particle slot once per point, for all slots in
 one pass over an (N, P, 4) array of the slots' points; then, slot by slot
 and factor by factor, it gathers the phases of the factor's modes,
 multiplies each by the mode's coefficient (weight x spinor, folded once at
-construction) and sums the terms mode after mode (no BLAS). The combine
-stage takes Kronecker products of the factor values over the slots and
-sums the branches. The slots' point arrays broadcast against each other,
-so the same kernel serves row batches (one point tuple per row) and
-tensor grids given as per-particle point sets, where each factor is
-evaluated on its own particle's points only; slot sets of unequal size
-are zero-padded to the largest, as are the slots' momentum tables. On a
-grid, the combine stage can run slab by slab on the factors of one factor
-pass (``evaluate_slabs``), which bounds its temporaries. Every
-operation is elementwise or a sum in a fixed order, so values do not
-depend on batch shape or grid layout. The integrator evaluates psi once
-per RK stage, often on 2-4 rows, where a call's fixed cost outweighs its
-arithmetic, so what every call would recompute is fixed at construction
-and the phase pass runs once per chunk, not once per slot.
+construction) and sums the terms mode after mode (no BLAS). For a row
+batch (one point tuple per row, ``evaluate_batch``) the combine stage
+then takes Kronecker products of the factor values over the slots and
+sums the branches. The leaf-density grids never form psi: they take the
+factor values themselves, each particle's on its own point set
+(``evaluate_factors``, one factor pass over the sets zero-padded to the
+largest, as the slots' momentum tables are). Every operation is
+elementwise or a sum in a fixed order, so values do not depend on batch
+shape. The integrator evaluates psi once per RK stage, often on 2-4 rows,
+where a call's fixed cost outweighs its arithmetic, so what every call
+would recompute is fixed at construction and the phase pass runs once per
+chunk, not once per slot.
 
 A phase exp(-i theta), theta = p.x, comes from the tangent half-angle
 identity: with t = tan(theta / 2) and w = -2 / (1 + t^2),
@@ -268,58 +266,36 @@ class NParticleWavefunction:
         shape = x.shape[:-2] + (self.dim,)
         rows = slots.shape[1]
         if rows <= BLOCK_ROWS:
-            return self._combine(self._slot_factors(slots),
-                                 [(rows,)] * self.n_particles).reshape(shape)
+            return self._combine(self._slot_factors(slots)).reshape(shape)
         out = np.empty((rows, self.dim), dtype=complex)
         for lo in range(0, rows, BLOCK_ROWS):
             block = slots[:, lo:lo + BLOCK_ROWS]
-            out[lo:lo + BLOCK_ROWS] = self._combine(
-                self._slot_factors(block),
-                [block.shape[1:2]] * self.n_particles)
+            out[lo:lo + BLOCK_ROWS] = self._combine(self._slot_factors(block))
         return out.reshape(shape)
 
-    def evaluate_slabs(self, point_sets, slabs):
-        """psi on slabs of the tensor grid of per-particle point sets.
-
-        ``point_sets[k]`` holds particle k's points, shape (P_k, 4), and
-        each slab is a tuple of N slices, one into each set. Every factor
-        is evaluated once, on its own set; sets of unequal size are
-        zero-padded to the largest, and the padding never reaches psi.
-        Then, slab after slab, this yields psi on the tensor grid of the
-        sliced sets, shape (n_0, ..., n_{N-1}, D), C-contiguous; a slab of
-        whole sets gives psi on the whole grid. Only the combine stage runs
-        per slab, so a slab's size bounds the temporaries.
-        """
-        n = self.n_particles
-        # one factor pass over the sets zero-padded to the largest, then
-        # slot k's factor values (B, d, P_k) on its own points
-        sets = [np.asarray(x, dtype=float) for x in point_sets]
-        pts = np.zeros((n, max(len(x) for x in sets), 4))
-        for k, x in enumerate(sets):
+    def evaluate_factors(self, point_sets):
+        """Each particle's factor values (B, d, P_k) on its own points
+        ``point_sets[k]`` (P_k, 4), from one factor pass over the sets
+        zero-padded to the largest."""
+        pts = np.zeros((self.n_particles, max(map(len, point_sets)), 4))
+        for k, x in enumerate(point_sets):
             pts[k, :len(x)] = x
-        factors = [f[..., :len(x)]
-                   for f, x in zip(self._slot_factors(pts), sets)]
-        for slab in slabs:
-            parts = [f[..., sl] for f, sl in zip(factors, slab)]
-            yield self._combine(parts, [
-                (1,) * k + (p.shape[-1],) + (1,) * (n - 1 - k)
-                for k, p in enumerate(parts)])
+        return [f[..., :len(x)]
+                for f, x in zip(self._slot_factors(pts), point_sets)]
 
-    def _combine(self, factors, shapes):
-        # psi (..., D) from the slots' factor values factors[k] (B, d,
-        # prod(shapes[k])), in the leading shape shapes[k]: per branch
-        # their Kronecker product over the slots, summed
+    def _combine(self, factors):
+        # psi (rows, D) from the slots' factor values factors[k] (B, d,
+        # rows): per branch their Kronecker product over the slots, summed
         d = self._spinor_dim
-        # component-major (D, ...); the branch sum starts from zero, which
+        # component-major (D, rows); the branch sum starts from zero, which
         # also gives every exactly zero component the sign +0.0
         out = 0.0
         for b, c_br in enumerate(self._coeffs):
-            val = factors[0][b].reshape((d,) + shapes[0])
+            val = factors[0][b]
             for k in range(1, self.n_particles):
-                kron = val[:, None] * factors[k][b].reshape((1, d) + shapes[k])
-                val = kron.reshape((len(kron) * d,) + kron.shape[2:])
+                val = (val[:, None] * factors[k][b]).reshape(len(val) * d, -1)
             out = out + c_br * val
-        return out.transpose(*range(1, out.ndim), 0).copy()
+        return out.T.copy()
 
     def _slot_factors(self, x):
         # the factor values (N, B, d, P) of every slot and branch at the

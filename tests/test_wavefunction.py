@@ -407,12 +407,12 @@ def test_blocked_evaluation_is_row_independent():
 
 
 def test_grid_of_unequal_slot_sets_equals_its_row_batch():
-    # per-particle point sets of unequal size, as one slab of the whole
-    # tensor grid, are zero-padded to the largest inside the kernel, and
-    # the D11 state's momentum tables (14 and 9 momenta) are padded too:
-    # the grid must equal the row batch of its point tuples bit for bit,
-    # the sign of zero included (the rest mode's lower component is
-    # exactly zero)
+    # per-particle point sets of unequal size are zero-padded to the
+    # largest inside the kernel, and the D11 state's momentum tables (14
+    # and 9 momenta) are padded too: each particle's factor values on its
+    # own set, taken to the row batch of the grid's point tuples and
+    # combined there, must equal that row batch bit for bit, the sign of
+    # zero included (the rest mode's lower component is exactly zero)
     rng = np.random.default_rng(29)
     rest = make_mode([0], 1.0, 1, 1, D11)
     ma = make_mode([0.7], 1.0, 1, 1, D11)
@@ -434,7 +434,13 @@ def test_grid_of_unequal_slot_sets_equals_its_row_batch():
             sets.append(x)
             slots.append(x.reshape((1,) * k + (size,) + (1,) * (n - 1 - k)
                                    + (4,)))
-        grid = next(psi.evaluate_slabs(sets, [(slice(None),) * n]))
+        factors = psi.evaluate_factors(sets)
+        assert [f.shape for f in factors] == [
+            (len(psi.branches), psi.mode.spinor_dim, size) for size in sizes]
+        # particle k's own point index of every grid point, in C order
+        index = np.indices(sizes).reshape(n, -1)
+        grid = psi._combine([f[..., i] for f, i in zip(factors, index)])
+        grid = grid.reshape(sizes + (psi.dim,))
         rows = psi.evaluate_batch(np.stack(np.broadcast_arrays(*slots),
                                            axis=-2))
         assert grid.shape == rows.shape == sizes + (psi.dim,)
