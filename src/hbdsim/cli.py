@@ -113,12 +113,9 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
                              samples.points(), scenario.integration.s0,
                              scenario.integration.s1,
                              scenario.integration.step, threshold,
-                             workers=workers)
+                             workers=workers,
+                             keep_labels=[scenario.integration.s1])
     cross = crossings(ens, scenario.integration.s1)
-    # only the crossings and the events are read from here on, so the
-    # (M, T+1, N, 4) points array goes before the target-leaf grids
-    events = ens.events
-    del ens
 
     density1 = LeafDensity(scenario.foliation, scenario.integration.s1,
                            scenario.psi, ens_block.target_boxes,
@@ -153,8 +150,8 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
     })
     write_crossings_csv(outdir / "crossings.csv", cross,
                         scenario.content_hash, seed)
-    write_events_csv(outdir / "events.csv", events, scenario.content_hash,
-                     seed)
+    write_events_csv(outdir / "events.csv", ens.events,
+                     scenario.content_hash, seed)
     return payload
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .currents import currents_all_batch
-from .errors import ConsistencyError, NodeProximity
+from .errors import ConsistencyError, LabelOutOfRange, NodeProximity
 from .geometry import lift_to_particle, alpha, minkowski_dot, minkowski_norm_sq
 
 __all__ = [
@@ -53,12 +53,19 @@ EVENT_VALIDITY = "validity_breach"
 
 @dataclass
 class TrajectoryEnsemble:
-    """A set of trajectories integrated on a common s-grid."""
+    """A set of trajectories integrated on a common s-grid.
+
+    ``points`` holds the configurations at the grid labels ``columns``
+    (every label unless the run kept only some; see ``integrate_ensemble``),
+    column by column. ``valid_steps`` counts grid steps, whichever labels
+    were kept.
+    """
 
     s_grid: np.ndarray            # (T+1,)
-    points: np.ndarray            # (M, T+1, N, 4)
+    points: np.ndarray            # (M, C, N, 4)
     valid_steps: np.ndarray       # (M,)
     events: list                  # [(trajectory, s, kind)]
+    columns: np.ndarray           # (C,) grid label index of each column
     foliation: object = field(repr=False, default=None)
 
     @property
@@ -100,16 +107,33 @@ def _label_grid(s0, s_end, step):
     return grid
 
 
-def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold, out,
-                     valid):
+def _bracket(s_grid, s):
+    """The grid step (i, theta) whose labels s_grid[i], s_grid[i+1] bracket
+    ``s``, with s = (1 - theta) s_grid[i] + theta s_grid[i+1];
+    ``LabelOutOfRange`` outside the grid."""
+    if not (s_grid[0] - 1e-12 <= s <= s_grid[-1] + 1e-12):
+        raise LabelOutOfRange("target label outside the integrated range")
+    i = int(np.searchsorted(s_grid, s, side="right")) - 1
+    i = min(max(i, 0), len(s_grid) - 2)
+    return i, (s - s_grid[i]) / (s_grid[i + 1] - s_grid[i])
+
+
+def _integrate_batch(psi, foliation, pts0, s_grid, columns, node_threshold,
+                     out, valid):
     """Fixed-step RK4 with leaf re-projection for one batch of trajectories.
 
-    Writes the points into ``out`` (batch, T+1, N, 4) and the valid steps
-    into ``valid`` (batch,); returns the batch's events.
+    Writes the configurations at the grid labels ``columns`` into ``out``
+    (batch, C, N, 4), a halted row's last valid one into all its later
+    columns, and the valid steps into ``valid`` (batch,); returns the
+    batch's events.
     """
     n_steps = len(s_grid) - 1
     batch = pts0.shape[0]
-    out[:, 0] = pts0
+    # the column of each grid label, -1 where it is not kept
+    column = np.full(n_steps + 1, -1)
+    column[columns] = np.arange(len(columns))
+    if column[0] >= 0:
+        out[:, column[0]] = pts0
     valid[:] = n_steps
     events = []
 
@@ -158,15 +182,15 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold, out,
                     traj = int(active[row])
                     kind = EVENT_NODE if grad_ok[row] else EVENT_VALIDITY
                     events.append((traj, s_here, kind))
-                    valid[traj] = i
-                breach = nun_ok & ~inside
-                for row in np.flatnonzero(breach):
-                    traj = int(active[row])
-                    events.append((traj, s_next, EVENT_VALIDITY))
-                    valid[traj] = i
-                out[active[breach], i + 1] = y_proj[breach]
-                # halted rows leave; the rows kept passed every check, so
-                # both masks restart all True
+                for row in np.flatnonzero(nun_ok & ~inside):
+                    events.append((int(active[row]), s_next, EVENT_VALIDITY))
+                # halted rows freeze at their last valid configuration, the
+                # one at label i, and leave; the rows kept passed every
+                # check, so both masks restart all True
+                halted = active[~good]
+                valid[halted] = i
+                out[halted[:, None], np.flatnonzero(columns > i)] = (
+                    y[~good, None])
                 active, y_proj, k_next = active[good], y_proj[good], k_next[good]
                 grad_ok, rho_ok = grad_ok[good], rho_ok[good]
 
@@ -176,25 +200,26 @@ def _integrate_batch(psi, foliation, pts0, s_grid, node_threshold, out,
                 if drift.max() > SYNC_TOLERANCE:
                     raise ConsistencyError(
                         f"leaf projection left residue {drift.max():.3e}")
-            out[active, i + 1] = y
-
-    # freeze halted trajectories at their last valid configuration
-    for t in range(batch):
-        if valid[t] < n_steps:
-            out[t, valid[t] + 1:] = out[t, valid[t]]
+            if column[i + 1] >= 0:
+                out[active, column[i + 1]] = y
     return events
 
 
 def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
-                       node_threshold: float = 0.0,
-                       workers: int = 1) -> TrajectoryEnsemble:
+                       node_threshold: float = 0.0, workers: int = 1,
+                       keep_labels=None) -> TrajectoryEnsemble:
     """Integrate many trajectories from a common initial leaf.
 
     ``initial_points`` has shape (M, N, 4) with every point on Sigma_{s0}.
     Work is split into batches of ``BATCH_SIZE`` trajectories whose
     boundaries do not depend on ``workers``; together with the
     chunking-independent arithmetic of the batch kernels this makes the
-    output bit-identical for any worker count. The (M, T+1, N, 4) points
+    output bit-identical for any worker count.
+
+    By default the ensemble holds every grid label. Given ``keep_labels``,
+    a sequence of labels in [s0, s_end], it holds only the two grid labels
+    that bracket each of them, the columns ``crossings`` reads there, so
+    its size does not depend on the path length. The (M, C, N, 4) points
     array is allocated once and each batch writes its own slice, so the
     run's memory peak is that array plus one batch's working set.
     """
@@ -206,16 +231,22 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
         raise ConsistencyError(
             f"initial configuration off the leaf by {drift:.3e}")
     s_grid = _label_grid(s0, s_end, step)
+    if keep_labels is None:
+        columns = np.arange(len(s_grid))
+    else:
+        lower = [_bracket(s_grid, s)[0] for s in keep_labels]
+        columns = np.unique(np.array(lower + [i + 1 for i in lower],
+                                     dtype=int))
 
     m_total = pts.shape[0]
     jobs = [(lo, min(lo + BATCH_SIZE, m_total))
             for lo in range(0, m_total, BATCH_SIZE)]
-    points = np.empty((m_total, len(s_grid)) + pts.shape[1:])
+    points = np.empty((m_total, len(columns)) + pts.shape[1:])
     valid = np.empty(m_total, dtype=int)
 
     def run(job):
         lo, hi = job
-        return _integrate_batch(psi, foliation, pts[lo:hi], s_grid,
+        return _integrate_batch(psi, foliation, pts[lo:hi], s_grid, columns,
                                 node_threshold, points[lo:hi], valid[lo:hi])
 
     if workers > 1 and len(jobs) > 1:
@@ -228,7 +259,8 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     for (lo, _), ev in zip(jobs, results):
         events.extend((t + lo, s, kind) for t, s, kind in ev)
     return TrajectoryEnsemble(s_grid=s_grid, points=points, valid_steps=valid,
-                              events=events, foliation=foliation)
+                              events=events, columns=columns,
+                              foliation=foliation)
 
 
 def integrate(psi, foliation, points, s0, s_end, step,
@@ -309,8 +341,12 @@ def sample_path_at_times(psi, foliation, ensemble: TrajectoryEnsemble, i, k,
     Reparametrizes the path by its own time component using cubic Hermite
     interpolation (slopes from the guiding field), so paths integrated
     against different foliations can be compared pointwise. ``times`` must
-    lie inside the path's time span.
+    lie inside the path's time span, and the ensemble must hold every
+    grid label (``ValueError`` otherwise).
     """
+    if len(ensemble.columns) != len(ensemble.s_grid):
+        raise ValueError("the ensemble holds only some grid labels, not "
+                         "whole paths")
     top = int(ensemble.valid_steps[i]) + 1
     path = ensemble.points[i, :top]
     pts = path[:, k - 1, :]

@@ -18,11 +18,15 @@ by pair, a product of each particle's own weighted sums of its pieces. The
 scan's and the flux's maxima run over the joint grid, slab by slab (at
 most ``GRID_POINTS`` points), keeping only each slab's maxima and first
 argmax, which are exact, so no result depends on the slab size. Only the
-sampler's weights form psi, in blocks of the same bound. What grows with a
-run is the trajectory array that ``integrate_ensemble`` allocates once.
-The grid sizes and the sampler's settings are module constants, not
-per-call parameters, so every grid stays within the caps that scenario
-parsing checks.
+sampler's weights form psi, in blocks of the same bound, and the sampler
+draws for a window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` samples at
+a time. An equilibrium run then holds, per trajectory, only its sample
+and its configurations at the grid labels that bracket the leaves it
+reads, the columns ``crossings`` needs (``integrate_ensemble``'s
+``keep_labels``); no array grows with the path length. The grid sizes
+and the sampler's settings are module constants, not per-call
+parameters, so every grid stays within the caps that scenario parsing
+checks.
 
 Randomness comes from counter-based Philox streams keyed by
 (master seed, trajectory index); every trajectory consumes only its own
@@ -40,7 +44,7 @@ from .currents import _branch_pieces, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
                      LabelOutOfRange, NoSamples, SamplerStall)
 from .geometry import alpha, lift_to_particle, minkowski_norm_sq
-from .dynamics import TrajectoryEnsemble
+from .dynamics import TrajectoryEnsemble, _bracket
 
 __all__ = [
     "trajectory_rng",
@@ -58,13 +62,13 @@ BOUNDARY_FLUX_TOLERANCE = 1e-6         # largest relative flux sampling takes
 MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
 BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
 CDF_RESOLUTION = 2049    # points of the marginal CDF grid
-PROPOSAL_BLOCK = 64      # proposals drawn per pending sample and round
+PROPOSAL_BLOCK = 64      # proposals drawn per sample in the window and round
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
 GRID_POINTS = 1 << 13    # most joint grid points (or weight rows) per slab;
                          # bounds the scan's and the flux faces' pair sums
-                         # and the sampler's psi and bilinear kernel
+                         # and the sampler's window, psi and bilinear kernel
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -430,10 +434,14 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     uniform proposal over the box and an envelope of (scanned max weight) *
     ``ENVELOPE_FACTOR``. Each sample i consumes only the Philox stream keyed
     by (seed, i), in blocks of ``PROPOSAL_BLOCK`` proposals, so the result
-    is reproducible bit for bit for any execution order. A weight above the
-    envelope triggers a finer rescan and a full deterministic restart, at
-    most ``MAX_RESTARTS`` attempts in all. A sample that accepts no
-    proposal within 10000 rounds raises ``SamplerStall`` at once.
+    is reproducible bit for bit for any execution order. Samples draw in a
+    window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` at a time, refilled
+    in index order, so one round's proposals are one weight block whatever
+    M is. A weight above the envelope triggers a finer rescan and a full
+    deterministic restart, at most ``MAX_RESTARTS`` attempts in all. A
+    sample that accepts no proposal within 10000 blocks makes the attempt
+    raise ``SamplerStall`` once every other sample is drawn, unless one of
+    them breaches the envelope first.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
@@ -464,17 +472,27 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
 
 
 def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
-    gens = [trajectory_rng(seed, i) for i in range(m_samples)]
+    # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples, so
+    # that a round's proposals (one block per sample) are one weight block.
+    # Samples enter in index order, hold a generator only while in the
+    # window, and leave once they accept or have drawn 10000 blocks. A
+    # stall is raised only once the window drains, so a breach in any
+    # sample's blocks wins over it, as when every sample draws each round
     out = np.empty((m_samples, dims))
-    pending = np.arange(m_samples)
-    rounds = 0
-    while pending.size:
-        rounds += 1
-        if rounds > 10000:
-            raise SamplerStall("rejection sampling failed to converge; "
-                               "acceptance rate is pathologically low")
-        draws = np.stack([gens[i].random((PROPOSAL_BLOCK, dims + 1))
-                          for i in pending])
+    width = max(1, GRID_POINTS // PROPOSAL_BLOCK)
+    window = np.empty(0, dtype=int)      # the samples in it, in index order
+    blocks = np.empty(0, dtype=int)      # the blocks each has drawn
+    gens = []
+    entered, stalled = 0, False
+    while window.size or entered < m_samples:
+        fresh = np.arange(entered,
+                          min(m_samples, entered + width - window.size))
+        entered += fresh.size
+        window = np.concatenate([window, fresh])
+        blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
+        gens += [trajectory_rng(seed, i) for i in fresh]
+
+        draws = np.stack([g.random((PROPOSAL_BLOCK, dims + 1)) for g in gens])
         proposals = lo + draws[..., :dims] * span
         w = density.weight_flat(proposals)
         if np.any(w > envelope):
@@ -483,9 +501,15 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
         accept = draws[..., dims] * envelope < w
         has = accept.any(axis=1)
         first = accept.argmax(axis=1)
-        rows = np.nonzero(has)[0]
-        out[pending[has]] = proposals[rows, first[has]]
-        pending = pending[~has]
+        out[window[has]] = proposals[has, first[has]]
+        blocks += 1
+        stays = ~has & (blocks < 10000)
+        stalled |= bool(np.any(~has & ~stays))
+        window, blocks = window[stays], blocks[stays]
+        gens = [g for g, keep in zip(gens, stays) if keep]
+    if stalled:
+        raise SamplerStall("rejection sampling failed to converge; "
+                           "acceptance rate is pathologically low")
     return out
 
 
@@ -511,19 +535,23 @@ def crossings(ensemble: TrajectoryEnsemble, s_target: float) -> CrossingSet:
     """Interpolate every trajectory's crossing of the leaf Sigma_{s_target}.
 
     Linear interpolation between the bracketing grid configurations (exact
-    when s_target is a grid value). Trajectories halted before the target
-    leaf are excluded and counted.
+    when s_target is a grid value), which the ensemble must hold: a run
+    that kept only some labels (``integrate_ensemble``'s ``keep_labels``)
+    holds them for each kept label. Trajectories halted before the target
+    leaf are excluded and counted. ``LabelOutOfRange`` if the label lies
+    outside the integrated range or its bracket was not kept.
     """
-    s_grid = ensemble.s_grid
-    if not (s_grid[0] - 1e-12 <= s_target <= s_grid[-1] + 1e-12):
-        raise LabelOutOfRange("target label outside the integrated range")
-    i = int(np.searchsorted(s_grid, s_target, side="right")) - 1
-    i = min(max(i, 0), len(s_grid) - 2)
-    theta = (s_target - s_grid[i]) / (s_grid[i + 1] - s_grid[i])
+    i, theta = _bracket(ensemble.s_grid, s_target)
     need = i + 1 if theta > 0 else i
+    # the columns are sorted grid label indices
+    at = int(np.searchsorted(ensemble.columns, i))
+    if ensemble.columns[at:at + 2].tolist() != [i, i + 1]:
+        raise LabelOutOfRange(
+            f"the ensemble does not hold the grid labels around {s_target}")
 
     included = ensemble.valid_steps >= need
-    x = (1.0 - theta) * ensemble.points[:, i] + theta * ensemble.points[:, i + 1]
+    x = ((1.0 - theta) * ensemble.points[:, at]
+         + theta * ensemble.points[:, at + 1])
     chart = ensemble.foliation.chart_coords(x)
     ids = np.nonzero(included)[0]
     return CrossingSet(s=float(s_target), chart=chart[included],

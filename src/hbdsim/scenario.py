@@ -403,7 +403,13 @@ def _header(kind, content_hash, seed):
 
 
 def write_trajectories_csv(path, ensemble, mode, content_hash, seed=None):
-    """One row per (trajectory, grid label, particle); D11 writes x0,x1 only."""
+    """One row per (trajectory, grid label, particle); D11 writes x0,x1 only.
+
+    The ensemble must hold every grid label (``ValueError`` otherwise).
+    """
+    if len(ensemble.columns) != len(ensemble.s_grid):
+        raise ValueError("the ensemble holds only some grid labels, not "
+                         "whole paths")
     ncomp = 2 if mode is SpinDimensionMode.D11 else 4
     cols = ",".join(f"x{mu}" for mu in range(ncomp))
     with open(path, "w") as fh:

@@ -15,9 +15,8 @@ construction) and sums the terms mode after mode (no BLAS). For a row
 batch (one point tuple per row, ``evaluate_batch``) the combine stage
 then takes Kronecker products of the factor values over the slots and
 sums the branches. The leaf-density grids never form psi: they take the
-factor values themselves, each particle's on its own point set
-(``evaluate_factors``, one factor pass over the sets zero-padded to the
-largest, as the slots' momentum tables are). Every operation is
+factor values themselves, each particle's on its own point set only
+(``evaluate_factors``, one factor pass per particle). Every operation is
 elementwise or a sum in a fixed order, so values do not depend on batch
 shape. The integrator evaluates psi once per RK stage, often on 2-4 rows,
 where a call's fixed cost outweighs its arithmetic, so what every call
@@ -275,13 +274,10 @@ class NParticleWavefunction:
 
     def evaluate_factors(self, point_sets):
         """Each particle's factor values (B, d, P_k) on its own points
-        ``point_sets[k]`` (P_k, 4), from one factor pass over the sets
-        zero-padded to the largest."""
-        pts = np.zeros((self.n_particles, max(map(len, point_sets)), 4))
-        for k, x in enumerate(point_sets):
-            pts[k, :len(x)] = x
-        return [f[..., :len(x)]
-                for f, x in zip(self._slot_factors(pts), point_sets)]
+        ``point_sets[k]`` (P_k, 4), from one factor pass per particle on
+        its own set only."""
+        return [self._slot_factors(x[None], [k])[0]
+                for k, x in enumerate(point_sets)]
 
     def _combine(self, factors):
         # psi (rows, D) from the slots' factor values factors[k] (B, d,
@@ -297,19 +293,21 @@ class NParticleWavefunction:
             out = out + c_br * val
         return out.T.copy()
 
-    def _slot_factors(self, x):
-        # the factor values (N, B, d, P) of every slot and branch at the
-        # slots' points x (N, P, 4), chunk by chunk: every slot's distinct
-        # phases in one pass, then per slot and factor its modes' phases
-        # times their coefficients, modes first, summed
-        tables = self._slot_factor_tables
+    def _slot_factors(self, x, slots=None):
+        # the factor values (n, B, d, P) of every branch at the points x
+        # (n, P, 4) of the n slots ``slots`` (a list; all slots by
+        # default), chunk by chunk: the slots' distinct phases in one pass,
+        # then per slot and factor its modes' phases times their
+        # coefficients, modes first, summed
+        half, tables = self._slot_half_p4s, self._slot_factor_tables
+        if slots is not None:
+            half, tables = half[:, slots], [tables[k] for k in slots]
         step = self._chunk_points
-        out = np.empty((self.n_particles, len(self._coeffs), self._spinor_dim,
+        out = np.empty((len(tables), len(self._coeffs), self._spinor_dim,
                         x.shape[1]), dtype=complex)
         for lo in range(0, x.shape[1], step):
-            # (N, M, 1, P): a gather of modes is already (n_f, 1, P)
-            ph = self._slot_phases(x[:, lo:lo + step],
-                                   self._slot_half_p4s)[:, :, None]
+            # (n, M, 1, P): a gather of modes is already (n_f, 1, P)
+            ph = self._slot_phases(x[:, lo:lo + step], half)[:, :, None]
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
             # from zero, which can only change the sign of an exact zero,

@@ -317,6 +317,51 @@ def test_ensemble_memory_peak_is_its_points_array():
     assert peak < 1.3 * ens.points.nbytes
 
 
+def test_kept_labels_memory_does_not_grow_with_the_path():
+    # kept labels store two columns, not 201; the whole points array alone
+    # would take 13.2 MB
+    fol = curved()
+    pts0 = _curved_starts(fol, dynamics.BATCH_SIZE + 6, 11)
+    tracemalloc.start()
+    try:
+        ens = integrate_ensemble(entangled_psi(seed=23), fol, pts0, 0.0,
+                                 10.0, 0.05, keep_labels=[10.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.columns.tolist() == [199, 200]
+    assert ens.points.shape == (len(pts0), 2, 2, 4)
+    assert peak < 4 * 2 ** 20 < len(pts0) * 201 * 2 * 4 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_kept_columns_are_the_whole_paths_columns(monkeypatch, workers):
+    # rows that halt (a validity breach at the narrow box's edge) keep their
+    # last valid configuration in every later kept column
+    psi = entangled_psi(seed=23)
+    fol = curved(width=1.5)
+    pts0 = _curved_starts(fol, 13, 2)
+    monkeypatch.setattr(dynamics, "BATCH_SIZE", 5)
+    full = integrate_ensemble(psi, fol, pts0, 0.0, 2.0, 0.05)
+    kept = integrate_ensemble(psi, fol, pts0, 0.0, 2.0, 0.05,
+                              workers=workers, keep_labels=[0.0, 0.73, 2.0])
+    assert kept.columns.tolist() == [0, 1, 14, 15, 39, 40]
+    assert 0 < np.sum(full.valid_steps < 40) < len(pts0)
+    assert kept.points.tobytes() == full.points[:, kept.columns].tobytes()
+    assert np.array_equal(kept.valid_steps, full.valid_steps)
+    assert kept.events == full.events
+    assert np.array_equal(kept.s_grid, full.s_grid)
+
+
+def test_path_resampling_needs_whole_paths():
+    psi = single_mode_psi()
+    fol = FlatTime(1)
+    kept = integrate_ensemble(psi, fol, np.zeros((1, 1, 4)), 0.0, 1.0, 0.05,
+                              keep_labels=[1.0])
+    with pytest.raises(ValueError, match="whole paths"):
+        sample_path_at_times(psi, fol, kept, 0, 1, [0.5])
+
+
 def test_four_psi_evaluations_per_step(monkeypatch):
     # FSAL: the evaluation at the accepted point opens the next step
     psi = entangled_psi(seed=23)

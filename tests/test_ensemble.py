@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hbdsim import currents as cmod
-from hbdsim import ensemble
+from hbdsim import dynamics, ensemble
 from hbdsim.checks import random_curved_foliation, random_state
 from hbdsim.currents import currents_all_batch, density_batch, density_rho
 from hbdsim.dynamics import SYNC_TOLERANCE, integrate_ensemble
@@ -119,10 +119,11 @@ def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
     points = []
     slot_factors = psi._slot_factors
 
-    def counting(x):
-        # x holds every slot's points, (N, P, 4)
-        points.extend((k, len(x_k)) for k, x_k in enumerate(x))
-        return slot_factors(x)
+    def counting(x, slots=None):
+        # x holds the points (n, P, 4) of the slots ``slots`` (all if None)
+        points.extend((k, len(x_k)) for k, x_k in
+                      zip(range(len(x)) if slots is None else slots, x))
+        return slot_factors(x, slots)
 
     monkeypatch.setattr(psi, "_slot_factors", counting)
     scan = dens.scan()
@@ -165,9 +166,10 @@ def test_scan_of_several_slabs_evaluates_factors_once(monkeypatch):
     slot_factors = psi._slot_factors
     cut = ensemble._slabs
 
-    def counting(x):
-        points.extend((k, len(x_k)) for k, x_k in enumerate(x))
-        return slot_factors(x)
+    def counting(x, slots=None):
+        points.extend((k, len(x_k)) for k, x_k in
+                      zip(range(len(x)) if slots is None else slots, x))
+        return slot_factors(x, slots)
 
     def recording(sizes):
         for rows, slab in cut(sizes):
@@ -638,6 +640,117 @@ def test_rescan_respects_the_grid_cap(monkeypatch):
     with pytest.raises(EnvelopeBreach):
         sample_leaf(dens, 100, seed=13)
     assert dens.scan_resolution == resolution
+
+
+def _one_sample_at_a_time(dens, m_samples, seed, envelope):
+    # each sample alone, block after block of its own stream, until a
+    # proposal is accepted
+    lo = dens.axis_boxes[:, 0]
+    span = dens.axis_boxes[:, 1] - lo
+    out = []
+    for i in range(m_samples):
+        gen = trajectory_rng(seed, i)
+        while True:
+            draws = gen.random((ensemble.PROPOSAL_BLOCK, dens.dims + 1))
+            proposals = lo + draws[:, :dens.dims] * span
+            accept = draws[:, dens.dims] * envelope < dens.weight_flat(
+                proposals)
+            if accept.any():
+                out.append(proposals[accept.argmax()])
+                break
+    return np.array(out)
+
+
+@pytest.mark.parametrize("width", [1, 3, 40])
+def test_window_sampler_reads_each_stream_in_block_order(monkeypatch, width):
+    # however many samples share a round (a window of 1, 3 or all 40), each
+    # sample is its own stream's first accepted proposal, block by block;
+    # the headline accepts about half its blocks, so many samples draw
+    # several
+    dens = _headline_density()
+    dens.scan()
+    monkeypatch.setattr(ensemble, "GRID_POINTS",
+                        width * ensemble.PROPOSAL_BLOCK)
+    ss = sample_leaf(dens, 40, seed=21)
+    ref = _one_sample_at_a_time(dens, 40, 21, ss.envelope)
+    assert ss.chart.reshape(40, -1).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, None])
+def test_breach_after_a_stall_still_rescans(monkeypatch, width):
+    # sample 0 never accepts (it stalls) and sample 2 breaches the envelope
+    # in its third block: the breach wins, as when every sample draws each
+    # round, whether sample 0 has left the window before sample 2 enters
+    # (a window of one) or not
+    dens, rescans = _sabotaged_density(monkeypatch, 0.0)
+    lo, hi = dens.axis_boxes[0]
+    gen = trajectory_rng(3, 2)
+    for _ in range(3):
+        breach = lo + gen.random((ensemble.PROPOSAL_BLOCK, 2))[:, 0] * (hi - lo)
+    monkeypatch.setattr(dens, "weight_flat", lambda u: np.where(
+        np.isin(u[..., 0], breach), np.inf, 0.0))
+    if width:
+        monkeypatch.setattr(ensemble, "GRID_POINTS",
+                            width * ensemble.PROPOSAL_BLOCK)
+    with pytest.raises(EnvelopeBreach):
+        sample_leaf(dens, 3, seed=3)
+    assert len(rescans) == MAX_RESTARTS - 1
+
+
+def test_sampler_memory_does_not_grow_with_the_sample_count():
+    # a window of GRID_POINTS // PROPOSAL_BLOCK samples draws one weight
+    # block a round; with all 2048 headline samples pending at once the
+    # proposals alone took 10 MB
+    dens = _headline_density()
+    dens.scan()
+    assert _traced_peak(lambda: sample_leaf(dens, 2048, 20260808)) < 6 * 2 ** 20
+
+
+def _halting_packet(labels=None, workers=1):
+    # a spreading packet under a node threshold between its starts'
+    # densities: the tails halt at a node at once, two trajectories halt
+    # mid-run (at steps 16 and 11 of 20) and the core runs through
+    fol = FlatTime(1)
+    pts0 = fol.leaf_point(0.0, np.linspace(-4.0, 4.0, 23)[:, None, None])
+    return integrate_ensemble(packet_psi(fol, p0=0.9, sigma_p=0.6), fol,
+                              pts0, 0.0, 1.0, 0.05, node_threshold=8.0,
+                              workers=workers, keep_labels=labels)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_crossings_of_kept_labels_equal_the_whole_paths(monkeypatch,
+                                                         workers):
+    # at a grid label, between two and at s_end
+    labels = [0.5, 0.525, 1.0]
+    monkeypatch.setattr(dynamics, "BATCH_SIZE", 7)
+    full = _halting_packet()
+    kept = _halting_packet(labels, workers)
+    assert kept.columns.tolist() == [10, 11, 19, 20]
+    assert kept.points.shape == (23, 4, 1, 4)
+    assert np.array_equal(kept.valid_steps, full.valid_steps)
+    assert kept.events == full.events
+    assert sorted(full.valid_steps[(full.valid_steps > 0)
+                                   & (full.valid_steps < 20)]) == [11, 16]
+    for s in labels:
+        a, b = crossings(full, s), crossings(kept, s)
+        assert b.chart.tobytes() == a.chart.tobytes()
+        assert np.array_equal(b.trajectory_ids, a.trajectory_ids)
+        assert np.array_equal(b.excluded_ids, a.excluded_ids)
+        assert b.n_excluded >= 12
+    # the trajectory halted at step 11 crosses 0.525, not s_end
+    assert 16 in crossings(kept, 0.525).trajectory_ids
+    assert 16 in crossings(kept, 1.0).excluded_ids
+
+
+def test_crossings_of_an_unkept_label_raise():
+    kept = _halting_packet([0.5])
+    assert kept.columns.tolist() == [10, 11]
+    crossings(kept, 0.5)
+    for s in (0.3, 0.575, 1.0):
+        with pytest.raises(LabelOutOfRange):
+            crossings(kept, s)
+    with pytest.raises(LabelOutOfRange):
+        _halting_packet([1.5])
 
 
 def test_crossings_interpolation():

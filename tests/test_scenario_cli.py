@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hbdsim.cli import main, run_equilibrium, run_simulate
+from hbdsim.dynamics import integrate_ensemble
 from hbdsim.ensemble import (
     BIN_ORDER,
     CDF_RESOLUTION,
@@ -23,6 +24,7 @@ from hbdsim.scenario import (
     read_csv_table,
     read_json_report,
     scenario_hash,
+    write_trajectories_csv,
 )
 
 BUNDLED = ["curved_n1_packet", "curved_n2_entangled", "flat_n1_beat",
@@ -271,6 +273,18 @@ def test_run_simulate_rest_worldline(tmp_path):
     meta_e, cols_e = read_csv_table(out["events"])
     assert meta_e["kind"] == "events"
     assert len(cols_e["trajectory"]) == 0
+
+
+def test_trajectories_csv_needs_whole_paths(tmp_path):
+    sc = load_scenario(bundled_scenario_path("flat_n1_rest"))
+    integ = sc.integration
+    kept = integrate_ensemble(sc.psi, sc.foliation,
+                              sc.initial_configurations(), integ.s0,
+                              integ.s1, integ.step, keep_labels=[integ.s1])
+    with pytest.raises(ValueError, match="whole paths"):
+        write_trajectories_csv(tmp_path / "t.csv", kept, sc.mode,
+                               sc.content_hash)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_csv_round_trip(tmp_path):
