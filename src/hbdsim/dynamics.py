@@ -214,7 +214,9 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     Work is split into batches of ``BATCH_SIZE`` trajectories whose
     boundaries do not depend on ``workers``; together with the
     chunking-independent arithmetic of the batch kernels this makes the
-    output bit-identical for any worker count.
+    output bit-identical for any worker count. The events are sorted by
+    (s, trajectory), so their order does not depend on ``BATCH_SIZE``
+    either.
 
     By default the ensemble holds every grid label. Given ``keep_labels``,
     a sequence of labels in [s0, s_end], it holds only the two grid labels
@@ -255,9 +257,10 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
     else:
         results = [run(job) for job in jobs]
 
-    events = []
-    for (lo, _), ev in zip(jobs, results):
-        events.extend((t + lo, s, kind) for t, s, kind in ev)
+    events = [(t + lo, s, kind) for (lo, _), ev in zip(jobs, results)
+              for t, s, kind in ev]
+    # by (s, trajectory), so the order does not depend on the batches
+    events.sort(key=lambda e: (e[1], e[0]))
     return TrajectoryEnsemble(s_grid=s_grid, points=points, valid_steps=valid,
                               events=events, columns=columns,
                               foliation=foliation)

@@ -18,20 +18,23 @@ by pair, a product of each particle's own weighted sums of its pieces. The
 scan's and the flux's maxima run over the joint grid, slab by slab (at
 most ``GRID_POINTS`` points), keeping only each slab's maxima and first
 argmax, which are exact, so no result depends on the slab size. Only the
-sampler's weights form psi, in blocks of the same bound, and the sampler
-draws for a window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` samples at
-a time. An equilibrium run then holds, per trajectory, only its sample
-and its configurations at the grid labels that bracket the leaves it
-reads, the columns ``crossings`` needs (``integrate_ensemble``'s
-``keep_labels``); no array grows with the path length. The grid sizes
-and the sampler's settings are module constants, not per-call
-parameters, so every grid stays within the caps that scenario parsing
-checks.
+sampler's weights form psi, in blocks of ``currents.BLOCK_ROWS`` rows,
+and the sampler draws for a window of at most
+``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time. An equilibrium run
+then holds, per trajectory, only its sample and its configurations at the
+grid labels that bracket the leaves it reads, the columns ``crossings``
+needs (``integrate_ensemble``'s ``keep_labels``); no array grows with the
+path length. The grid sizes and the sampler's settings are module
+constants, not per-call parameters, so every grid stays within the caps
+that scenario parsing checks.
 
-Randomness comes from counter-based Philox streams keyed by
-(master seed, trajectory index); every trajectory consumes only its own
-stream, so serial and parallel runs of any worker count produce identical
-samples bit for bit.
+Randomness comes from counter-based Philox4x64-10 streams keyed by
+(master seed, sample index), as ``trajectory_rng`` defines them. Block j
+of sample i's proposals is a fixed range of that stream's counters, so it
+is a pure function of (seed, i, j): the sampler computes a whole round's
+blocks in one vectorised pass, without numpy's generators (an
+``equilibrium`` run never imports ``numpy.random``), and any split of the
+samples gives the same samples bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import _branch_pieces, density_batch
+from .currents import BLOCK_ROWS, _branch_pieces, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
                      LabelOutOfRange, NoSamples, SamplerStall)
 from .geometry import alpha, lift_to_particle, minkowski_norm_sq
@@ -66,15 +69,70 @@ PROPOSAL_BLOCK = 64      # proposals drawn per sample in the window and round
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
-GRID_POINTS = 1 << 13    # most joint grid points (or weight rows) per slab;
-                         # bounds the scan's and the flux faces' pair sums
-                         # and the sampler's window, psi and bilinear kernel
+GRID_POINTS = 1 << 13    # most joint grid points per slab; bounds the
+                         # scan's and the flux faces' pair sums and the
+                         # proposal rows of a sampler round
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one trajectory's private stream."""
+    """Counter-based generator for one trajectory's private stream.
+
+    This defines the stream; the sampler computes the same draws in bulk
+    (``_proposal_draws``) without numpy's generator.
+    """
     key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _proposal_draws(seed, samples, blocks, dims):
+    """Block ``blocks[r]`` of sample ``samples[r]``'s stream, for every r:
+    (len(samples), PROPOSAL_BLOCK, dims + 1) uniforms in [0, 1).
+
+    These are the draws of ``trajectory_rng(seed, sample).random(
+    (PROPOSAL_BLOCK, dims + 1))``, block after block, computed in one pass
+    of Philox4x64-10 (Salmon et al., SC 2011) over all the counters:
+    the key is (seed mod 2**64, sample), the counter is incremented before
+    each 4-word output (so the first output is counter 1's), and a double
+    is (word >> 11) * 2**-53. A block takes q = PROPOSAL_BLOCK * (dims +
+    1) / 4 counters, a whole number as PROPOSAL_BLOCK is 64, so block j is
+    counters j*q + 1 ... j*q + q. Every uint64 operation is on arrays,
+    which wrap without the warning numpy gives for scalars.
+    """
+    u64 = np.uint64
+    q = PROPOSAL_BLOCK * (dims + 1) // 4
+    # words 0 and 2 of every counter are multiplied, 1 and 3 are not: x
+    # and y hold those pairs, (2, samples, q). A round maps (x0, y0, x1,
+    # y1) to (hi(m1 x1) ^ y0 ^ k0, lo(m1 x1), hi(m0 x0) ^ y1 ^ k1,
+    # lo(m0 x0)), the high words of the products built from 32-bit halves
+    mul = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                   dtype=u64)[:, None, None]
+    half, low = u64(32), u64(0xFFFFFFFF)
+    m_lo, m_hi = mul & low, mul >> half
+    x = np.zeros((2, len(samples), q), dtype=u64)
+    x[0] = (np.asarray(blocks, dtype=u64)[:, None] * u64(q)
+            + np.arange(1, q + 1, dtype=u64))
+    y = np.zeros_like(x)
+    key = np.empty((2, len(samples), 1), dtype=u64)
+    key[0] = int(seed) & 0xFFFFFFFFFFFFFFFF
+    key[1] = np.asarray(samples, dtype=u64)[:, None]
+    # the key of each of the 10 rounds, bumped by the Weyl constants
+    round_keys = key + np.arange(10, dtype=u64)[:, None, None, None] * (
+        np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                 dtype=u64)[:, None, None])
+    for round_key in round_keys:
+        x_lo, x_hi = x & low, x >> half
+        t = m_lo * x_hi
+        t += (m_lo * x_lo) >> half
+        mid = t & low
+        mid += m_hi * x_lo
+        hi = m_hi * x_hi
+        hi += t >> half
+        hi += mid >> half
+        y, x = (mul * x)[::-1], hi[::-1] ^ y
+        x ^= round_key
+    words = np.stack([x[0], y[0], x[1], y[1]], axis=-1) >> u64(11)
+    return (words.astype(float) * 2.0 ** -53).reshape(
+        len(samples), PROPOSAL_BLOCK, dims + 1)
 
 
 def _gauss_legendre_axes(boxes, order):
@@ -197,14 +255,14 @@ class LeafDensity:
     def weight(self, xi):
         """Unnormalized sampling weight at chart tuples (..., N, sd).
 
-        Rows are evaluated in blocks of ``GRID_POINTS``; every operation is
+        Rows are evaluated in blocks of ``BLOCK_ROWS``; every operation is
         row-wise, so the values do not depend on the batch shape.
         """
         xi = np.asarray(xi, dtype=float)
         rows = xi.reshape((-1,) + xi.shape[-2:])
         out = np.empty(len(rows))
-        for lo in range(0, len(rows), GRID_POINTS):
-            block = rows[lo:lo + GRID_POINTS]
+        for lo in range(0, len(rows), BLOCK_ROWS):
+            block = rows[lo:lo + BLOCK_ROWS]
             pts = self.foliation.leaf_point(self.s, block)
             rho = density_batch(self.psi.evaluate_batch(pts),
                                 self._normals(pts), self.psi.n_particles,
@@ -213,7 +271,7 @@ class LeafDensity:
             for k in range(self.psi.n_particles):
                 area = area * self.foliation.area_element(self.s,
                                                           block[:, k, :])
-            out[lo:lo + GRID_POINTS] = rho * area
+            out[lo:lo + BLOCK_ROWS] = rho * area
         return out.reshape(xi.shape[:-2])
 
     def weight_flat(self, u):
@@ -433,15 +491,17 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     below ``BOUNDARY_FLUX_TOLERANCE``. Rejection sampling then uses a
     uniform proposal over the box and an envelope of (scanned max weight) *
     ``ENVELOPE_FACTOR``. Each sample i consumes only the Philox stream keyed
-    by (seed, i), in blocks of ``PROPOSAL_BLOCK`` proposals, so the result
+    by (seed, i) (``trajectory_rng``), in blocks of ``PROPOSAL_BLOCK``
+    proposals; block j is a pure function of (seed, i, j), so the result
     is reproducible bit for bit for any execution order. Samples draw in a
     window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` at a time, refilled
-    in index order, so one round's proposals are one weight block whatever
-    M is. A weight above the envelope triggers a finer rescan and a full
-    deterministic restart, at most ``MAX_RESTARTS`` attempts in all. A
-    sample that accepts no proposal within 10000 blocks makes the attempt
-    raise ``SamplerStall`` once every other sample is drawn, unless one of
-    them breaches the envelope first.
+    in index order, so one round holds at most ``GRID_POINTS`` proposals
+    whatever M is, drawn in one pass and weighed in blocks of
+    ``BLOCK_ROWS`` rows. A weight above the envelope triggers a finer
+    rescan and a full deterministic restart, at most ``MAX_RESTARTS``
+    attempts in all. A sample that accepts no proposal within 10000 blocks
+    makes the attempt raise ``SamplerStall`` once every other sample is
+    drawn, unless one of them breaches the envelope first.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
@@ -473,16 +533,17 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
 
 def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
     # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples, so
-    # that a round's proposals (one block per sample) are one weight block.
-    # Samples enter in index order, hold a generator only while in the
-    # window, and leave once they accept or have drawn 10000 blocks. A
-    # stall is raised only once the window drains, so a breach in any
-    # sample's blocks wins over it, as when every sample draws each round
+    # that a round's proposals (one block per sample) are GRID_POINTS rows.
+    # Samples enter in index order and leave once they accept or have
+    # drawn 10000 blocks; a sample's next block is a function of (seed,
+    # sample, blocks drawn) alone, and a round draws every sample's next
+    # block in one pass. A stall is raised only once the window drains, so
+    # a breach in any sample's blocks wins over it, as when every sample
+    # draws each round
     out = np.empty((m_samples, dims))
     width = max(1, GRID_POINTS // PROPOSAL_BLOCK)
     window = np.empty(0, dtype=int)      # the samples in it, in index order
     blocks = np.empty(0, dtype=int)      # the blocks each has drawn
-    gens = []
     entered, stalled = 0, False
     while window.size or entered < m_samples:
         fresh = np.arange(entered,
@@ -490,9 +551,8 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
         entered += fresh.size
         window = np.concatenate([window, fresh])
         blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
-        gens += [trajectory_rng(seed, i) for i in fresh]
 
-        draws = np.stack([g.random((PROPOSAL_BLOCK, dims + 1)) for g in gens])
+        draws = _proposal_draws(seed, window, blocks, dims)
         proposals = lo + draws[..., :dims] * span
         w = density.weight_flat(proposals)
         if np.any(w > envelope):
@@ -506,7 +566,6 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
         stays = ~has & (blocks < 10000)
         stalled |= bool(np.any(~has & ~stays))
         window, blocks = window[stays], blocks[stays]
-        gens = [g for g, keep in zip(gens, stays) if keep]
     if stalled:
         raise SamplerStall("rejection sampling failed to converge; "
                            "acceptance rate is pathologically low")

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +85,29 @@ def test_trajectory_rng_streams_are_stable_and_disjoint():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed", [0, 20260808, 2 ** 64 - 1, -20260808])
+@pytest.mark.parametrize("dims", [1, 4])
+def test_bulk_proposal_draws_equal_the_streams(seed, dims):
+    # block j of sample i, computed in bulk, is the j-th block that
+    # trajectory_rng(seed, i) draws, block after block; a negative seed is
+    # masked to 64 bits by both. Every row of one call reads its own
+    # (sample, block), so a round may mix blocks
+    samples, wanted = [0, 1, 127, 10 ** 6], [0, 1, 2, 9999]
+    ref = {}
+    for i in samples:
+        gen = trajectory_rng(seed, i)
+        for j in range(wanted[-1] + 1):
+            block = gen.random((ensemble.PROPOSAL_BLOCK, dims + 1))
+            if j in wanted:
+                ref[i, j] = block
+    pairs = list(itertools.product(samples, wanted))
+    got = ensemble._proposal_draws(seed, [i for i, _ in pairs],
+                                   [j for _, j in pairs], dims)
+    assert got.shape == (len(pairs), ensemble.PROPOSAL_BLOCK, dims + 1)
+    for row, pair in zip(got, pairs):
+        assert row.tobytes() == ref[pair].tobytes(), pair
 
 
 def test_gauss_legendre_polynomial_exactness():
@@ -272,8 +300,8 @@ def test_headline_grid_memory_is_bounded():
 
 
 def test_weight_memory_is_bounded():
-    # one sampler round of 2048 pending samples: 131072 proposal rows,
-    # weighed in blocks of GRID_POINTS rows
+    # 2048 samples' blocks at once: 131072 proposal rows, weighed in blocks
+    # of BLOCK_ROWS rows
     dens = _headline_density()
     u = np.random.default_rng(3).uniform(size=(2048, 64, dens.dims))
     u = dens.axis_boxes[:, 0] + u * (dens.axis_boxes[:, 1]
@@ -697,13 +725,51 @@ def test_breach_after_a_stall_still_rescans(monkeypatch, width):
     assert len(rescans) == MAX_RESTARTS - 1
 
 
+def test_sampling_at_a_negative_seed_equals_the_oracle():
+    # a negative seed (as ``seed_override`` allows) keys every stream with
+    # its 64-bit mask, as trajectory_rng does
+    dens = _headline_density()
+    dens.scan()
+    ss = sample_leaf(dens, 40, seed=-20260808)
+    ref = _one_sample_at_a_time(dens, 40, -20260808, ss.envelope)
+    assert ss.chart.reshape(40, -1).tobytes() == ref.tobytes()
+
+
 def test_sampler_memory_does_not_grow_with_the_sample_count():
-    # a window of GRID_POINTS // PROPOSAL_BLOCK samples draws one weight
-    # block a round; with all 2048 headline samples pending at once the
+    # a window of GRID_POINTS // PROPOSAL_BLOCK samples draws one round of
+    # proposals in one pass, weighed in blocks of BLOCK_ROWS rows. The
+    # peak, 2.57 MB, is the boundary flux's; the rounds themselves peak
+    # at 1.80 MB. The bound leaves 0.43 MB of margin. With one Philox
+    # generator per sample and 8192-row weight blocks the rounds peaked
+    # at 3.2-3.8 MB, and with all 2048 samples pending at once the
     # proposals alone took 10 MB
     dens = _headline_density()
     dens.scan()
-    assert _traced_peak(lambda: sample_leaf(dens, 2048, 20260808)) < 6 * 2 ** 20
+    assert _traced_peak(lambda: sample_leaf(dens, 2048, 20260808)) < 3 * 2 ** 20
+
+
+def test_equilibrium_never_imports_numpy_random(tmp_path):
+    # the sampler computes its Philox streams itself, so a whole
+    # ``equilibrium`` run in a fresh interpreter leaves numpy.random
+    # unimported
+    raw = json.loads(bundled_scenario_path("curved_n1_packet").read_text())
+    raw["ensemble"]["size"] = 50
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(raw))
+    code = ("import sys\n"
+            "from hbdsim.cli import run_equilibrium\n"
+            "from hbdsim.scenario import load_scenario\n"
+            f"run_equilibrium(load_scenario({str(path)!r}), "
+            f"{str(tmp_path / 'out')!r})\n"
+            "print('numpy.random' in sys.modules)\n")
+    src = str(Path(ensemble.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def _halting_packet(labels=None, workers=1):
@@ -740,6 +806,18 @@ def test_crossings_of_kept_labels_equal_the_whole_paths(monkeypatch,
     # the trajectory halted at step 11 crosses 0.525, not s_end
     assert 16 in crossings(kept, 0.525).trajectory_ids
     assert 16 in crossings(kept, 1.0).excluded_ids
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_events_do_not_depend_on_the_batch_size(monkeypatch, workers):
+    # rows halt in several batches of 7 at the same labels; in one batch
+    # or in many, the events come sorted by (s, trajectory)
+    whole = _halting_packet(workers=workers).events
+    monkeypatch.setattr(dynamics, "BATCH_SIZE", 7)
+    batched = _halting_packet(workers=workers).events
+    assert len(whole) >= 12
+    assert batched == whole
+    assert whole == sorted(whole, key=lambda e: (e[1], e[0]))
 
 
 def test_crossings_of_an_unkept_label_raise():
