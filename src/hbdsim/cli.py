@@ -136,6 +136,13 @@ def run_equilibrium(scenario: Scenario, outdir, workers=1, seed_override=None,
         "negative_control": bool(negative_control),
         "node_threshold": threshold,
         "report": report.to_dict(),
+        "sampler": {
+            "proposals_weighed": samples.proposals,
+            "samples_accepted": samples.n_samples,
+            "acceptance_rate": samples.n_samples / samples.proposals,
+            "envelope": samples.envelope,
+            "attempts": samples.attempts,
+        },
     }
     write_json_report(outdir / "report.json", payload)
     write_json_report(outdir / "histogram.json", {

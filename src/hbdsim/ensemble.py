@@ -20,13 +20,15 @@ most ``GRID_POINTS`` points), keeping only each slab's maxima and first
 argmax, which are exact, so no result depends on the slab size. Only the
 sampler's weights form psi, in blocks of ``currents.BLOCK_ROWS`` rows,
 and the sampler draws for a window of at most
-``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time. An equilibrium run
-then holds, per trajectory, only its sample and its configurations at the
-grid labels that bracket the leaves it reads, the columns ``crossings``
-needs (``integrate_ensemble``'s ``keep_labels``); no array grows with the
-path length. The grid sizes and the sampler's settings are module
-constants, not per-call parameters, so every grid stays within the caps
-that scenario parsing checks.
+``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing each
+sample's proposals ``SUB_BLOCK`` at a time only up to its first
+acceptance. An equilibrium run then holds, per trajectory, only its
+sample and its configurations at the grid labels that bracket the leaves
+it reads, the columns ``crossings`` needs (``integrate_ensemble``'s
+``keep_labels``); no array grows with the path length. The grid sizes
+and the sampler's settings are module constants, not per-call
+parameters, so every grid stays within the caps that scenario parsing
+checks.
 
 Randomness comes from counter-based Philox4x64-10 streams keyed by
 (master seed, sample index), as ``trajectory_rng`` defines them. Block j
@@ -34,7 +36,9 @@ of sample i's proposals is a fixed range of that stream's counters, so it
 is a pure function of (seed, i, j): the sampler computes a whole round's
 blocks in one vectorised pass, without numpy's generators (an
 ``equilibrium`` run never imports ``numpy.random``), and any split of the
-samples gives the same samples bit for bit.
+samples gives the same samples bit for bit. Which proposals are weighed
+is fixed too: each sample's, in stream order, up to the end of the
+sub-block that holds its first acceptance.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
 BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
 CDF_RESOLUTION = 2049    # points of the marginal CDF grid
 PROPOSAL_BLOCK = 64      # proposals drawn per sample in the window and round
+SUB_BLOCK = 16           # proposals weighed per sample and step of a round
+LOOKAHEAD_BLOCKS = 16    # a window of w samples draws LOOKAHEAD_BLOCKS // w
+                         # blocks per sample and round, at least one
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
@@ -201,12 +208,12 @@ class LeafDensity:
     which detunes the density: that variant exists purely as the negative
     control of the equivariance test.
 
-    Every grid quantity (the scan, the normalization and quadrature means,
-    the bin masses, the marginal CDFs and the boundary flux) is built from
-    each particle's points, normals, area elements and branch-pair pieces
-    on its own axes (see the module docstring). Only ``weight`` evaluates
-    psi, one row per configuration, for the sampler's proposals
-    (``chart_tuples`` serves those rows).
+    Every grid quantity (the scan, the normalization, the bin masses, the
+    marginal CDFs and the boundary flux) is built from each particle's
+    points, normals, area elements and branch-pair pieces on its own axes
+    (see the module docstring). Only ``weight`` evaluates psi, one row per
+    configuration, for the sampler's proposals (``chart_tuples`` serves
+    those rows).
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -370,23 +377,13 @@ class LeafDensity:
     def max_rho(self):
         return self.scan()["max_rho"]
 
-    def _quadrature(self, axis=None):
-        # the weight (times chart coordinate ``axis``, if given) integrated
-        # over the box by tensor Gauss-Legendre quadrature
-        nodes, weights = _gauss_legendre_axes(self.axis_boxes, self.quad_order)
-        if axis is not None:
-            weights[axis] = weights[axis] * nodes[axis]
-        return float(np.sum(self._integral(nodes, weights)))
-
     def normalization(self):
         """Z = integral of the weight over the box (Gauss-Legendre, cached)."""
         if self._z is None:
-            self._z = self._quadrature()
+            nodes, weights = _gauss_legendre_axes(self.axis_boxes,
+                                                  self.quad_order)
+            self._z = float(np.sum(self._integral(nodes, weights)))
         return self._z
-
-    def quadrature_mean(self, axis):
-        """Mean of one joint-chart coordinate under the normalized density."""
-        return self._quadrature(axis) / self.normalization()
 
     def bin_masses(self, bins_per_axis):
         """Normalized predicted masses on a regular joint binning.
@@ -474,6 +471,8 @@ class SampleSet:
     density: LeafDensity
     seed: int
     envelope: float
+    proposals: int               # weighed, over every attempt
+    attempts: int                # the first, then one per rescan
 
     @property
     def n_samples(self):
@@ -496,12 +495,19 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     is reproducible bit for bit for any execution order. Samples draw in a
     window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` at a time, refilled
     in index order, so one round holds at most ``GRID_POINTS`` proposals
-    whatever M is, drawn in one pass and weighed in blocks of
-    ``BLOCK_ROWS`` rows. A weight above the envelope triggers a finer
-    rescan and a full deterministic restart, at most ``MAX_RESTARTS``
-    attempts in all. A sample that accepts no proposal within 10000 blocks
-    makes the attempt raise ``SamplerStall`` once every other sample is
-    drawn, unless one of them breaches the envelope first.
+    whatever M is, drawn in one pass (a window of fewer than
+    ``LOOKAHEAD_BLOCKS`` samples draws several blocks each, at most
+    ``LOOKAHEAD_BLOCKS * PROPOSAL_BLOCK`` rows). A round weighs each
+    sample's proposals ``SUB_BLOCK`` at a time, in stream order, and stops
+    at the sub-block of its first acceptance, so the sample is the one
+    weighing whole blocks would give. A weighed proposal above the
+    envelope triggers a finer rescan and a full deterministic restart, at
+    most ``MAX_RESTARTS`` attempts in all; a proposal that is never
+    weighed cannot breach. A sample that accepts no proposal within 10000
+    blocks makes the attempt raise ``SamplerStall`` once every other
+    sample is drawn, unless one of them breaches the envelope first. The
+    returned set counts the proposals weighed over every attempt and the
+    attempts made.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
@@ -516,53 +522,78 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     span = density.axis_boxes[:, 1] - density.axis_boxes[:, 0]
 
     last_exc = None
+    tally = {"proposals": 0}
     for attempt in range(MAX_RESTARTS):
         if attempt:
             density.rescan()
         envelope = ENVELOPE_FACTOR * density.max_weight()
         try:
             flat = _rejection_fill(density, m_samples, seed, envelope,
-                                   lo, span, dims)
+                                   lo, span, dims, tally)
             return SampleSet(chart=density.chart_tuples(flat), density=density,
-                             seed=int(seed), envelope=float(envelope))
+                             seed=int(seed), envelope=float(envelope),
+                             proposals=tally["proposals"],
+                             attempts=attempt + 1)
         except EnvelopeBreach as exc:
             last_exc = exc
     raise EnvelopeBreach(
         f"envelope still violated after {MAX_RESTARTS} attempts: {last_exc}")
 
 
-def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims):
+def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
+                    tally):
     # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples, so
     # that a round's proposals (one block per sample) are GRID_POINTS rows.
     # Samples enter in index order and leave once they accept or have
     # drawn 10000 blocks; a sample's next block is a function of (seed,
     # sample, blocks drawn) alone, and a round draws every sample's next
-    # block in one pass. A stall is raised only once the window drains, so
-    # a breach in any sample's blocks wins over it, as when every sample
-    # draws each round
+    # block in one pass (a window of w < LOOKAHEAD_BLOCKS samples draws
+    # LOOKAHEAD_BLOCKS // w blocks per sample, within the stall budget).
+    # The round then weighs its proposals SUB_BLOCK at a time per sample,
+    # in stream order, and a sample weighs nothing past the sub-block of
+    # its first acceptance, so every sample is still its stream's first
+    # accepted proposal. A stall is raised only once the window drains, so
+    # a breach in any sample's weighed proposals wins over it.
+    # ``tally["proposals"]`` counts the proposals weighed
     out = np.empty((m_samples, dims))
     width = max(1, GRID_POINTS // PROPOSAL_BLOCK)
     window = np.empty(0, dtype=int)      # the samples in it, in index order
     blocks = np.empty(0, dtype=int)      # the blocks each has drawn
     entered, stalled = 0, False
     while window.size or entered < m_samples:
-        fresh = np.arange(entered,
-                          min(m_samples, entered + width - window.size))
-        entered += fresh.size
-        window = np.concatenate([window, fresh])
-        blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
+        if entered < m_samples and window.size < width:
+            fresh = np.arange(entered,
+                              min(m_samples, entered + width - window.size))
+            entered += fresh.size
+            window = np.concatenate([window, fresh])
+            blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
 
-        draws = _proposal_draws(seed, window, blocks, dims)
+        ahead = min(max(1, LOOKAHEAD_BLOCKS // window.size),
+                    10000 - int(blocks.max()))
+        draws = _proposal_draws(
+            seed, np.repeat(window, ahead),
+            (blocks[:, None] + np.arange(ahead)).ravel(), dims,
+        ).reshape(window.size, ahead * PROPOSAL_BLOCK, dims + 1)
         proposals = lo + draws[..., :dims] * span
-        w = density.weight_flat(proposals)
-        if np.any(w > envelope):
-            raise EnvelopeBreach(
-                f"weight {np.max(w):.6e} above envelope {envelope:.6e}")
-        accept = draws[..., dims] * envelope < w
-        has = accept.any(axis=1)
-        first = accept.argmax(axis=1)
+        bar = draws[..., dims] * envelope
+        first = np.full(window.size, -1)     # each sample's accepted row
+        live = np.arange(window.size)        # the samples still weighing
+        for at in range(0, ahead * PROPOSAL_BLOCK, SUB_BLOCK):
+            sub = slice(at, at + SUB_BLOCK)
+            w = density.weight_flat(proposals[live, sub])
+            tally["proposals"] += w.size
+            if np.any(w > envelope):
+                raise EnvelopeBreach(
+                    f"weight {np.max(w):.6e} above envelope {envelope:.6e}")
+            accept = bar[live, sub] < w
+            has = accept.any(axis=1)
+            first[live[has]] = at + accept[has].argmax(axis=1)
+            live = live[~has]
+            if not live.size:
+                break
+        has = first >= 0
         out[window[has]] = proposals[has, first[has]]
-        blocks += 1
+        blocks += ahead
         stays = ~has & (blocks < 10000)
         stalled |= bool(np.any(~has & ~stays))
         window, blocks = window[stays], blocks[stays]

@@ -8,10 +8,14 @@ times included - without any PDE grid.
 
 Evaluation runs in two stages. The factor stage computes each distinct
 plane-wave phase of every particle slot once per point, for all slots in
-one pass over an (N, P, 4) array of the slots' points; then, slot by slot
-and factor by factor, it gathers the phases of the factor's modes,
-multiplies each by the mode's coefficient (weight x spinor, folded once at
-construction) and sums the terms mode after mode (no BLAS). For a row
+one pass over the slots' points (their components made contiguous rows
+once per call); then, slot by slot and factor by factor, it takes the
+phases of the factor's modes, multiplies each by the mode's coefficient
+(weight x spinor, folded once at construction) and sums the terms mode
+after mode (no BLAS). A slot's distinct momenta are ordered by spatial
+momentum, so a comb packet's modes are one run of the table and their
+phases a slice, a view; a factor whose modes are not one run in its own
+order takes them by index, through the same expression. For a row
 batch (one point tuple per row, ``evaluate_batch``) the combine stage
 then takes Kronecker products of the factor values over the slots and
 sums the branches. The leaf-density grids never form psi: they take the
@@ -177,9 +181,13 @@ class NParticleWavefunction:
         self.branches = tuple(branches)
         self.dim = self.mode.spin_space_dim(self.n_particles)
         # per slot: the distinct four-momenta of all its factors, compared
-        # bitwise; and per branch, the slot's factor as its modes' columns
-        # in that table and their coefficients weight x spinor (n_f, d, 1),
-        # folded here
+        # bitwise and ordered by spatial momentum (then energy), so that a
+        # comb's modes, listed in momentum order, are one run of the table;
+        # and per branch, the slot's factor as its modes' selector in that
+        # table and their coefficients weight x spinor (n_f, d, 1), folded
+        # here. The selector is the run's slice, whose phases are a view,
+        # where the factor's columns are consecutive, and the columns
+        # themselves otherwise
         self._coeffs = [c for c, _ in branches]
         # read on every call, so fixed here rather than through the mode
         d = self._spinor_dim = self.mode.spinor_dim
@@ -189,15 +197,23 @@ class NParticleWavefunction:
         widths = []
         for k in range(n_particles):
             slot_factors = [fs[k] for _, fs in branches]
-            columns = {}
+            distinct = {}
+            for factor in slot_factors:
+                for _, md in factor:
+                    distinct.setdefault(md.four_momentum.tobytes(),
+                                        md.four_momentum.tolist())
+            order = sorted(distinct, key=lambda key: (distinct[key][1:],
+                                                      distinct[key][0]))
+            columns = {key: i for i, key in enumerate(order)}
             tables = []
             for factor in slot_factors:
-                cols = np.array([columns.setdefault(md.four_momentum.tobytes(),
-                                                    len(columns))
-                                 for _, md in factor], dtype=np.intp)
+                cols = [columns[md.four_momentum.tobytes()] for _, md in factor]
+                sel = (slice(cols[0], cols[-1] + 1)
+                       if cols and cols == list(range(cols[0], cols[-1] + 1))
+                       else np.array(cols, dtype=np.intp))
                 coef = np.array([w * md.w for w, md in factor], dtype=complex)
-                tables.append((cols, coef.reshape(len(factor), d, 1)))
-            momenta.append([np.frombuffer(key) for key in columns])
+                tables.append((sel, coef.reshape(len(factor), d, 1)))
+            momenta.append([distinct[key] for key in order])
             self._slot_factor_tables.append(tables)
             # points per factor-stage chunk: the slot's largest factor keeps
             # its terms within CHUNK_TERMS, so the temporaries stay
@@ -207,7 +223,7 @@ class NParticleWavefunction:
             widths.append(max(1, CHUNK_TERMS // (largest * d)))
         # every slot's table halved (exact) for the half-angle phases,
         # component-major (4, N, M_max, 1); a shorter table is padded with
-        # zero momenta, whose phase is exactly 1 and is never gathered
+        # zero momenta, whose phase is exactly 1 and is never selected
         half = np.zeros((4, n_particles, max(map(len, momenta)), 1))
         for k, p4s in enumerate(momenta):
             half[:, k, :len(p4s), 0] = 0.5 * np.array(p4s).T
@@ -305,17 +321,21 @@ class NParticleWavefunction:
         step = self._chunk_points
         out = np.empty((len(tables), len(self._coeffs), self._spinor_dim,
                         x.shape[1]), dtype=complex)
+        # the points' components as contiguous rows, once per call: every
+        # chunk's (n, P, 4) view below transposes back to rows that the
+        # phase pass reads with unit stride
+        rows = np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
         for lo in range(0, x.shape[1], step):
-            # (n, M, 1, P): a gather of modes is already (n_f, 1, P)
-            ph = self._slot_phases(x[:, lo:lo + step], half)[:, :, None]
+            # (n, M, 1, P): a factor's modes are then (n_f, 1, P)
+            ph = self._slot_phases(rows[:, lo:lo + step], half)[:, :, None]
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
             # from zero, which can only change the sign of an exact zero,
             # and the branch sum resets that
             for ph_k, out_k, tables_k in zip(ph, out, tables):
-                for f, (cols, coef) in zip(out_k, tables_k):
-                    np.add.reduce(ph_k.take(cols, axis=0) * coef,
-                                  axis=0, out=f[:, lo:lo + step])
+                for f, (sel, coef) in zip(out_k, tables_k):
+                    np.add.reduce(ph_k[sel] * coef, axis=0,
+                                  out=f[:, lo:lo + step])
         return out
 
     def evaluate(self, points) -> np.ndarray:

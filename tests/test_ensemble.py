@@ -62,6 +62,16 @@ def gauss_legendre_grid(boxes, order):
     return np.stack([m.ravel() for m in mesh], axis=-1), w
 
 
+def quadrature_mean(dens, axis):
+    """Quadrature oracle: the mean of one joint-chart coordinate under the
+    normalized density, by the density's own Gauss-Legendre rule with the
+    coordinate folded into that axis's weights."""
+    nodes, weights = ensemble._gauss_legendre_axes(dens.axis_boxes,
+                                                   dens.quad_order)
+    weights[axis] = weights[axis] * nodes[axis]
+    return float(np.sum(dens._integral(nodes, weights))) / dens.normalization()
+
+
 def rest_psi():
     return NParticleWavefunction([(1.0, (make_mode([0], 1.0, 1, 1, D11),))])
 
@@ -126,7 +136,7 @@ def test_leaf_density_uniform_normalization():
     dens = LeafDensity(FlatTime(1), 0.0, rest_psi(), [[[-2.0, 2.0]]], 32)
     assert abs(dens.normalization() - 4.0) < 1e-12
     assert abs(dens.max_weight() - 1.0) < 1e-12
-    assert abs(dens.quadrature_mean(0)) < 1e-12
+    assert abs(quadrature_mean(dens, 0)) < 1e-12
 
 
 def test_scan_evaluates_psi_once_per_grid_point(monkeypatch):
@@ -247,7 +257,7 @@ def _grid_quantities(dens):
     return {
         "scan": [scan["max_weight"], scan["max_rho"], scan["argmax"]],
         "normalization": dens.normalization(),
-        "quadrature_mean": [dens.quadrature_mean(a)
+        "quadrature_mean": [quadrature_mean(dens, a)
                             for a in range(dens.dims)],
         "bin_masses": [masses] + edges,
         "marginal_cdf": [c for a in range(dens.dims)
@@ -552,7 +562,7 @@ def test_grid_consumers_match_row_path(build):
     assert close(dens.normalization(), ref["z"])
     widths = dens.axis_boxes[:, 1] - dens.axis_boxes[:, 0]
     for a in range(dens.dims):
-        assert close(dens.quadrature_mean(a), ref["means"][a], widths[a])
+        assert close(quadrature_mean(dens, a), ref["means"][a], widths[a])
     _, masses = dens.bin_masses(bins)
     assert close(masses, ref["masses"])
     for a in range(dens.dims):
@@ -579,7 +589,7 @@ def test_sampling_mean_matches_quadrature():
     dens = LeafDensity(fol, 0.0, psi, [[[-8.0, 9.0]]], 64)
     ss = sample_leaf(dens, 4000, seed=11)
     xs = ss.chart[:, 0, 0]
-    mean_q = dens.quadrature_mean(0)
+    mean_q = quadrature_mean(dens, 0)
     tol = 4.0 * np.std(xs) / np.sqrt(len(xs))
     assert abs(np.mean(xs) - mean_q) < tol
 
@@ -723,6 +733,107 @@ def test_breach_after_a_stall_still_rescans(monkeypatch, width):
     with pytest.raises(EnvelopeBreach):
         sample_leaf(dens, 3, seed=3)
     assert len(rescans) == MAX_RESTARTS - 1
+
+
+def _stream_oracle(dens, m_samples, seed, envelope):
+    # each sample's stream, block after block, weighed whole (as the
+    # sampler once did) until a block accepts: the proposals up to the end
+    # of that block, and the position of the first accepted one
+    lo = dens.axis_boxes[:, 0]
+    span = dens.axis_boxes[:, 1] - lo
+    gens = [trajectory_rng(seed, i) for i in range(m_samples)]
+    streams = [[] for _ in range(m_samples)]
+    first = [None] * m_samples
+    pending = list(range(m_samples))
+    while pending:
+        draws = np.stack([gens[i].random((ensemble.PROPOSAL_BLOCK,
+                                          dens.dims + 1)) for i in pending])
+        proposals = lo + draws[..., :dens.dims] * span
+        accept = draws[..., dens.dims] * envelope < dens.weight_flat(proposals)
+        for r, i in enumerate(pending):
+            if accept[r].any():
+                first[i] = (len(streams[i]) * ensemble.PROPOSAL_BLOCK
+                            + int(accept[r].argmax()))
+            streams[i].append(proposals[r])
+        pending = [i for i in pending if first[i] is None]
+    return [np.concatenate(st) for st in streams], first
+
+
+def test_headline_sampler_weighs_up_to_each_first_acceptance(monkeypatch):
+    # the 2048 headline at the shipped seed: every sample weighs its stream
+    # in order up to the end of the sub-block holding its first acceptance,
+    # each such proposal exactly once and no other; whole 64-proposal
+    # blocks weighed 187968 rows
+    dens = _headline_density()
+    dens.scan()
+    weighed = []
+    weight_flat = dens.weight_flat
+
+    def recording(u):
+        weighed.append(np.array(u).reshape(-1, dens.dims))
+        return weight_flat(u)
+
+    monkeypatch.setattr(dens, "weight_flat", recording)
+    ss = sample_leaf(dens, 2048, 20260808)
+    rows = np.concatenate(weighed)
+    assert len(rows) == ss.proposals == 127088 and ss.attempts == 1
+    monkeypatch.setattr(dens, "weight_flat", weight_flat)
+    streams, first = _stream_oracle(dens, 2048, 20260808, ss.envelope)
+    assert sum(map(len, streams)) == 187968
+    sub = ensemble.SUB_BLOCK
+    allowed = np.concatenate([st[:(a // sub + 1) * sub]
+                              for st, a in zip(streams, first)])
+    assert sorted(map(bytes, rows)) == sorted(map(bytes, allowed))
+    assert ss.chart.reshape(2048, -1).tobytes() == np.array(
+        [st[a] for st, a in zip(streams, first)]).tobytes()
+
+
+def test_a_lone_sample_draws_blocks_ahead(monkeypatch):
+    # a lone sample that never accepts draws LOOKAHEAD_BLOCKS of its
+    # blocks per pass, weighs them SUB_BLOCK proposals at a time in stream
+    # order, and stalls after exactly 10000 blocks
+    dens, rescans = _sabotaged_density(monkeypatch, 0.0)
+    passes, weighed = [], []
+    draws = ensemble._proposal_draws
+
+    def recording_draws(seed, samples, blocks, dims):
+        passes.append(list(blocks))
+        return draws(seed, samples, blocks, dims)
+
+    def recording_weight(u):
+        weighed.append(np.array(u))
+        return np.zeros(u.shape[:-1])
+
+    monkeypatch.setattr(ensemble, "_proposal_draws", recording_draws)
+    monkeypatch.setattr(dens, "weight_flat", recording_weight)
+    with pytest.raises(SamplerStall):
+        sample_leaf(dens, 1, seed=3)
+    assert rescans == []
+    ahead = ensemble.LOOKAHEAD_BLOCKS
+    assert passes == [list(range(b, b + ahead)) for b in range(0, 10000, ahead)]
+    assert {u.shape for u in weighed} == {(1, ensemble.SUB_BLOCK, 1)}
+    lo, hi = dens.axis_boxes[0]
+    stream = lo + trajectory_rng(3, 0).random(
+        (10000 * ensemble.PROPOSAL_BLOCK, 2))[:, 0] * (hi - lo)
+    assert np.concatenate(weighed).ravel().tobytes() == stream.tobytes()
+
+
+def test_sample_set_counts_every_attempt(monkeypatch):
+    # a sabotaged envelope breaches, the rescan recovers: the set counts
+    # both attempts and every proposal weighed in them
+    fol = FlatTime(1)
+    dens = LeafDensity(fol, 0.0, packet_psi(fol, sigma_p=0.5),
+                       [[[-7.0, 8.0]]], 32)
+    dens.scan()
+    dens._scan["max_weight"] /= 10.0
+    rows = []
+    weight_flat = dens.weight_flat
+    monkeypatch.setattr(dens, "weight_flat", lambda u: rows.append(
+        u.shape[0] * u.shape[1]) or weight_flat(u))
+    ss = sample_leaf(dens, 100, seed=13)
+    assert ss.attempts == 2
+    assert ss.proposals == sum(rows) > 0
+    assert ss.proposals % ensemble.SUB_BLOCK == 0
 
 
 def test_sampling_at_a_negative_seed_equals_the_oracle():

@@ -583,6 +583,25 @@ def test_report_schema_stable(tmp_path):
         "leak_mass", "passed"}
 
 
+def test_report_has_a_deterministic_sampler_block(tmp_path):
+    from hbdsim.ensemble import ENVELOPE_FACTOR, SUB_BLOCK, LeafDensity
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(small_scenario_dict(size=40)))
+    sc = load_scenario(path)
+    payload = run_equilibrium(sc, tmp_path / "out")
+    sampler = read_json_report(tmp_path / "out" / "report.json")["sampler"]
+    assert sampler == payload["sampler"]
+    assert set(sampler) == {"proposals_weighed", "samples_accepted",
+                            "acceptance_rate", "envelope", "attempts"}
+    assert sampler["samples_accepted"] == 40 and sampler["attempts"] == 1
+    assert sampler["proposals_weighed"] % SUB_BLOCK == 0
+    assert sampler["acceptance_rate"] == 40 / sampler["proposals_weighed"]
+    eb = sc.ensemble
+    density = LeafDensity(sc.foliation, sc.integration.s0, sc.psi, eb.boxes,
+                          eb.quadrature_order, eb.scan_resolution)
+    assert sampler["envelope"] == ENVELOPE_FACTOR * density.max_weight()
+
+
 def test_checks_cli(tmp_path):
     # the checks subcommand runs the invariant suites and exits 0; a
     # corrupted gamma representation must fail the algebra suite

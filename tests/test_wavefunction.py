@@ -239,7 +239,9 @@ def test_shared_and_repeated_momenta_match_term_expansion(rng):
     for psi, modes, distinct in [(headline, 38, 31), (d31, 4, 2)]:
         for k in range(2):
             tables = psi._slot_factor_tables[k]
-            assert sum(len(cols) for cols, _ in tables) == modes
+            # a factor's selector is a slice of the table or its columns
+            columns = np.arange(psi._slot_half_p4s.shape[2])
+            assert sum(len(columns[sel]) for sel, _ in tables) == modes
             # slot k's halved momenta, columns (4, M_max); a real momentum
             # has a nonzero energy, the padding is all zero
             half = psi._slot_half_p4s[:, k, :, 0]
@@ -252,6 +254,93 @@ def test_shared_and_repeated_momenta_match_term_expansion(rng):
         expected = _term_sum(_expanded_terms(psi.branches), x)
         got = psi.evaluate_batch(x)
         assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+
+def _comb(p0, dp, n, weight=1.0):
+    # n D11 modes p0, p0 + dp, ..., listed in momentum order
+    return [(weight * np.exp(-0.2 * a) * (1.0 + 0.3j * a),
+             make_mode([p0 + a * dp], 1.0, 1, 1, D11)) for a in range(n)]
+
+
+def _selector_momenta(psi, k, sel):
+    # the four-momenta slot k's table holds at a factor's selector
+    return 2.0 * psi._slot_half_p4s[:, k, sel, 0].T
+
+
+def test_headline_factors_take_their_phases_as_views():
+    # every factor of the headline state is one run of its slot's table, in
+    # its own mode order, so its phases are a slice of the chunk's phases
+    psi = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    x = np.random.default_rng(7).normal(0.0, 4.0, size=(2, 9, 4))
+    ph = psi._slot_phases(x, psi._slot_half_p4s)[:, :, None]
+    for k, tables in enumerate(psi._slot_factor_tables):
+        for (sel, _), (_, factors) in zip(tables, psi.branches):
+            assert isinstance(sel, slice) and sel.step is None
+            view = ph[k][sel]
+            assert view.base is not None and np.shares_memory(view, ph)
+            assert np.array_equal(_selector_momenta(psi, k, sel),
+                                  [md.four_momentum for _, md in factors[k]])
+
+
+def _index_path_states():
+    # interleaved combs (dp 0.25 and 0.4 overlap in momentum in slot 0, so
+    # neither is one run of the sorted table there), and a factor listing
+    # one four-momentum twice (spin labels 1 and 2 in D31)
+    fine, coarse = _comb(-1.0, 0.25, 9), _comb(-0.9, 0.4, 6, 0.5j)
+    interleaved = NParticleWavefunction.from_product_branches(
+        [(1.0, [fine, coarse]), (0.6 - 0.3j, [coarse, _comb(2.0, 0.2, 3)])])
+    p = [0.3, -0.2, 0.5]
+    up, down = (make_mode(p, 1.0, 1, s, D31) for s in (1, 2))
+    other = make_mode([-0.4, 0.1, 0.0], 1.0, -1, 2, D31)
+    repeated = NParticleWavefunction.from_product_branches(
+        [(1.0, [[(0.7, up), (0.3j, other), (0.5 - 0.4j, down)],
+                [(1.0, other)]]),
+         (0.4 - 0.6j, [[(0.2, up), (1.0, other)], [(0.9j, up)]])])
+    return interleaved, repeated
+
+
+def test_factors_that_are_no_run_take_the_index_path(rng):
+    interleaved, repeated = _index_path_states()
+    kinds = [[type(sel) for sel, _ in tables]
+             for tables in interleaved._slot_factor_tables]
+    assert kinds == [[np.ndarray, np.ndarray], [slice, slice]]
+    # the repeated four-momentum: up and down share a column, so the
+    # first factor of slot 0 lists a column twice; the second lists its
+    # two columns against the table's order; a one-mode factor is a run
+    (sel, _), (sel2, _) = repeated._slot_factor_tables[0]
+    assert isinstance(sel, np.ndarray) and len(set(sel)) == 2 < len(sel)
+    assert isinstance(sel2, np.ndarray)
+    assert all(isinstance(s, slice)
+               for s, _ in repeated._slot_factor_tables[1])
+    for psi in (interleaved, repeated):
+        for k, tables in enumerate(psi._slot_factor_tables):
+            for (sel, _), (_, factors) in zip(tables, psi.branches):
+                assert np.array_equal(
+                    _selector_momenta(psi, k, sel),
+                    [md.four_momentum for _, md in factors[k]])
+
+
+def test_both_selector_paths_match_the_terms_and_are_row_independent(rng):
+    headline = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    for psi in (headline, *_index_path_states()):
+        x = rng.normal(0.0, 4.0, size=(300, 2, 4))
+        x[..., 1 + psi.mode.spatial_dims:] = 0.0
+        expected = _term_sum(_expanded_terms(psi.branches), x[:20])
+        whole = psi.evaluate_batch(x)
+        assert (np.max(np.abs(whole[:20] - expected))
+                < 1e-13 * np.max(np.abs(expected)))
+        for i in (0, 1, 137, 299):
+            assert np.array_equal(psi.evaluate_batch(x[i:i + 1])[0], whole[i])
+    # the headline's slices and the same runs gathered by index give the
+    # same bits
+    gathered = load_scenario(bundled_scenario_path("curved_n2_entangled")).psi
+    gathered._slot_factor_tables = [
+        [(np.arange(sel.start, sel.stop), coef) for sel, coef in tables]
+        for tables in gathered._slot_factor_tables]
+    x = rng.normal(0.0, 4.0, size=(1500, 2, 4))
+    x[..., 2:] = 0.0
+    assert np.array_equal(gathered.evaluate_batch(x),
+                          headline.evaluate_batch(x))
 
 
 def test_dirac_residual_rest_mode():
