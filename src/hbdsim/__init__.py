@@ -20,7 +20,6 @@ from .wavefunction import (
     make_mode,
 )
 from .foliation import (
-    AffineRelabeled,
     ConstantNormal,
     FlatTime,
     Foliation,

@@ -20,25 +20,25 @@ most ``GRID_POINTS`` points), keeping only each slab's maxima and first
 argmax, which are exact, so no result depends on the slab size. Only the
 sampler's weights form psi, in blocks of ``currents.BLOCK_ROWS`` rows,
 and the sampler draws for a window of at most
-``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing each
-sample's proposals ``SUB_BLOCK`` at a time only up to its first
-acceptance. An equilibrium run then holds, per trajectory, only its
-sample and its configurations at the grid labels that bracket the leaves
-it reads, the columns ``crossings`` needs (``integrate_ensemble``'s
+``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing exactly the
+proposals it draws. An equilibrium run then holds, per trajectory, only
+its sample and its configurations at the grid labels that bracket the
+leaves it reads, the columns ``crossings`` needs (``integrate_ensemble``'s
 ``keep_labels``); no array grows with the path length. The grid sizes
 and the sampler's settings are module constants, not per-call
 parameters, so every grid stays within the caps that scenario parsing
 checks.
 
 Randomness comes from counter-based Philox4x64-10 streams keyed by
-(master seed, sample index), as ``trajectory_rng`` defines them. Block j
+(master seed, sample index), as ``_proposal_draws`` defines them. Block j
 of sample i's proposals is a fixed range of that stream's counters, so it
-is a pure function of (seed, i, j): the sampler computes a whole round's
-blocks in one vectorised pass, without numpy's generators (an
-``equilibrium`` run never imports ``numpy.random``), and any split of the
-samples gives the same samples bit for bit. Which proposals are weighed
-is fixed too: each sample's, in stream order, up to the end of the
-sub-block that holds its first acceptance.
+is a pure function of (seed, i, j): the sampler computes and weighs a
+whole round's blocks in one vectorised pass, without numpy's generators
+(an ``equilibrium`` run never imports ``numpy.random``), and any split of
+the samples gives the same samples bit for bit. Which proposals are
+weighed is fixed too: each sample's, in stream order, whole blocks of
+``PROPOSAL_BLOCK`` up to the end of the round that holds its first
+acceptance.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .geometry import alpha, lift_to_particle, minkowski_norm_sq
 from .dynamics import TrajectoryEnsemble, _bracket
 
 __all__ = [
-    "trajectory_rng",
     "LeafDensity",
     "SampleSet",
     "sample_leaf",
@@ -69,9 +68,8 @@ BOUNDARY_FLUX_TOLERANCE = 1e-6         # largest relative flux sampling takes
 MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
 BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
 CDF_RESOLUTION = 2049    # points of the marginal CDF grid
-PROPOSAL_BLOCK = 64      # proposals drawn per sample in the window and round
-SUB_BLOCK = 16           # proposals weighed per sample and step of a round
-LOOKAHEAD_BLOCKS = 16    # a window of w samples draws LOOKAHEAD_BLOCKS // w
+PROPOSAL_BLOCK = 16      # proposals a sample draws and weighs per block
+LOOKAHEAD_BLOCKS = 64    # a window of w samples draws LOOKAHEAD_BLOCKS // w
                          # blocks per sample and round, at least one
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
@@ -81,29 +79,21 @@ GRID_POINTS = 1 << 13    # most joint grid points per slab; bounds the
                          # proposal rows of a sampler round
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator for one trajectory's private stream.
-
-    This defines the stream; the sampler computes the same draws in bulk
-    (``_proposal_draws``) without numpy's generator.
-    """
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _proposal_draws(seed, samples, blocks, dims):
     """Block ``blocks[r]`` of sample ``samples[r]``'s stream, for every r:
     (len(samples), PROPOSAL_BLOCK, dims + 1) uniforms in [0, 1).
 
-    These are the draws of ``trajectory_rng(seed, sample).random(
-    (PROPOSAL_BLOCK, dims + 1))``, block after block, computed in one pass
-    of Philox4x64-10 (Salmon et al., SC 2011) over all the counters:
-    the key is (seed mod 2**64, sample), the counter is incremented before
-    each 4-word output (so the first output is counter 1's), and a double
-    is (word >> 11) * 2**-53. A block takes q = PROPOSAL_BLOCK * (dims +
-    1) / 4 counters, a whole number as PROPOSAL_BLOCK is 64, so block j is
-    counters j*q + 1 ... j*q + q. Every uint64 operation is on arrays,
-    which wrap without the warning numpy gives for scalars.
+    This defines the streams. Sample i's stream is Philox4x64-10 (Salmon
+    et al., SC 2011) keyed by (seed mod 2**64, i), read as doubles: the
+    counter is incremented before each 4-word output (so the first output
+    is counter 1's), and a double is (word >> 11) * 2**-53, word by word.
+    Proposal r of the stream takes the next dims + 1 doubles, so these are
+    the draws of numpy's ``Generator(Philox(key=(seed mod 2**64,
+    i))).random((PROPOSAL_BLOCK, dims + 1))``, block after block. A block
+    takes q = PROPOSAL_BLOCK * (dims + 1) / 4 = 4 (dims + 1) counters, so
+    block j is counters j*q + 1 ... j*q + q, and all of them are computed
+    in one pass. Every uint64 operation is on arrays, which wrap without
+    the warning numpy gives for scalars.
     """
     u64 = np.uint64
     q = PROPOSAL_BLOCK * (dims + 1) // 4
@@ -211,9 +201,8 @@ class LeafDensity:
     Every grid quantity (the scan, the normalization, the bin masses, the
     marginal CDFs and the boundary flux) is built from each particle's
     points, normals, area elements and branch-pair pieces on its own axes
-    (see the module docstring). Only ``weight`` evaluates psi, one row per
-    configuration, for the sampler's proposals (``chart_tuples`` serves
-    those rows).
+    (see the module docstring). Only ``weight_flat`` evaluates psi, one
+    row per configuration, for the sampler's proposals.
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -259,13 +248,13 @@ class LeafDensity:
             return n
         return self.foliation.normal(pts)
 
-    def weight(self, xi):
-        """Unnormalized sampling weight at chart tuples (..., N, sd).
+    def weight_flat(self, u):
+        """Unnormalized sampling weight at joint chart vectors (..., dims).
 
         Rows are evaluated in blocks of ``BLOCK_ROWS``; every operation is
         row-wise, so the values do not depend on the batch shape.
         """
-        xi = np.asarray(xi, dtype=float)
+        xi = self.chart_tuples(u)
         rows = xi.reshape((-1,) + xi.shape[-2:])
         out = np.empty(len(rows))
         for lo in range(0, len(rows), BLOCK_ROWS):
@@ -280,9 +269,6 @@ class LeafDensity:
                                                           block[:, k, :])
             out[lo:lo + BLOCK_ROWS] = rho * area
         return out.reshape(xi.shape[:-2])
-
-    def weight_flat(self, u):
-        return self.weight(self.chart_tuples(u))
 
     def _grid_points(self, axes):
         # each particle's leaf points (P_k, 4) and area elements (P_k,) on
@@ -490,24 +476,21 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     below ``BOUNDARY_FLUX_TOLERANCE``. Rejection sampling then uses a
     uniform proposal over the box and an envelope of (scanned max weight) *
     ``ENVELOPE_FACTOR``. Each sample i consumes only the Philox stream keyed
-    by (seed, i) (``trajectory_rng``), in blocks of ``PROPOSAL_BLOCK``
+    by (seed, i) (``_proposal_draws``), in blocks of ``PROPOSAL_BLOCK``
     proposals; block j is a pure function of (seed, i, j), so the result
     is reproducible bit for bit for any execution order. Samples draw in a
     window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` at a time, refilled
-    in index order, so one round holds at most ``GRID_POINTS`` proposals
-    whatever M is, drawn in one pass (a window of fewer than
-    ``LOOKAHEAD_BLOCKS`` samples draws several blocks each, at most
-    ``LOOKAHEAD_BLOCKS * PROPOSAL_BLOCK`` rows). A round weighs each
-    sample's proposals ``SUB_BLOCK`` at a time, in stream order, and stops
-    at the sub-block of its first acceptance, so the sample is the one
-    weighing whole blocks would give. A weighed proposal above the
-    envelope triggers a finer rescan and a full deterministic restart, at
-    most ``MAX_RESTARTS`` attempts in all; a proposal that is never
-    weighed cannot breach. A sample that accepts no proposal within 10000
-    blocks makes the attempt raise ``SamplerStall`` once every other
-    sample is drawn, unless one of them breaches the envelope first. The
-    returned set counts the proposals weighed over every attempt and the
-    attempts made.
+    in index order. Each round, every sample of a window of w takes its
+    next max(1, ``LOOKAHEAD_BLOCKS`` // w) blocks, so one round holds at
+    most ``GRID_POINTS`` proposals whatever M is; they are drawn in one
+    pass and weighed in one call, and each sample is its stream's first
+    accepted proposal. A weighed proposal above the envelope triggers a
+    finer rescan and a full deterministic restart, at most
+    ``MAX_RESTARTS`` attempts in all. A sample that accepts none of its
+    first 640000 proposals makes the attempt raise ``SamplerStall`` once
+    every other sample is drawn, unless one of them breaches the envelope
+    first. The returned set counts the proposals weighed over every
+    attempt and the attempts made.
     """
     if m_samples < 1:
         raise ValueError("need at least one sample")
@@ -542,21 +525,19 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
 
 def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
                     tally):
-    # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples, so
-    # that a round's proposals (one block per sample) are GRID_POINTS rows.
-    # Samples enter in index order and leave once they accept or have
-    # drawn 10000 blocks; a sample's next block is a function of (seed,
-    # sample, blocks drawn) alone, and a round draws every sample's next
-    # block in one pass (a window of w < LOOKAHEAD_BLOCKS samples draws
-    # LOOKAHEAD_BLOCKS // w blocks per sample, within the stall budget).
-    # The round then weighs its proposals SUB_BLOCK at a time per sample,
-    # in stream order, and a sample weighs nothing past the sub-block of
-    # its first acceptance, so every sample is still its stream's first
-    # accepted proposal. A stall is raised only once the window drains, so
-    # a breach in any sample's weighed proposals wins over it.
-    # ``tally["proposals"]`` counts the proposals weighed
+    # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples,
+    # entered in index order. Each round, every sample of a window of w
+    # takes its next max(1, LOOKAHEAD_BLOCKS // w) blocks, at most
+    # GRID_POINTS rows in all; a sample's block j is a function of (seed,
+    # sample, j) alone, so the round draws its blocks in one pass, weighs
+    # them in one call, and each sample keeps its first accepted proposal.
+    # A sample leaves once it accepts or has drawn its stall budget; a
+    # stall is raised only once the window drains, so a breach in any
+    # sample's weighed proposals wins over it. ``tally["proposals"]``
+    # counts the proposals weighed
     out = np.empty((m_samples, dims))
     width = max(1, GRID_POINTS // PROPOSAL_BLOCK)
+    budget = 640000 // PROPOSAL_BLOCK    # blocks drawn before a stall
     window = np.empty(0, dtype=int)      # the samples in it, in index order
     blocks = np.empty(0, dtype=int)      # the blocks each has drawn
     entered, stalled = 0, False
@@ -569,32 +550,22 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
             blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
 
         ahead = min(max(1, LOOKAHEAD_BLOCKS // window.size),
-                    10000 - int(blocks.max()))
+                    budget - int(blocks.max()))
         draws = _proposal_draws(
             seed, np.repeat(window, ahead),
             (blocks[:, None] + np.arange(ahead)).ravel(), dims,
         ).reshape(window.size, ahead * PROPOSAL_BLOCK, dims + 1)
         proposals = lo + draws[..., :dims] * span
-        bar = draws[..., dims] * envelope
-        first = np.full(window.size, -1)     # each sample's accepted row
-        live = np.arange(window.size)        # the samples still weighing
-        for at in range(0, ahead * PROPOSAL_BLOCK, SUB_BLOCK):
-            sub = slice(at, at + SUB_BLOCK)
-            w = density.weight_flat(proposals[live, sub])
-            tally["proposals"] += w.size
-            if np.any(w > envelope):
-                raise EnvelopeBreach(
-                    f"weight {np.max(w):.6e} above envelope {envelope:.6e}")
-            accept = bar[live, sub] < w
-            has = accept.any(axis=1)
-            first[live[has]] = at + accept[has].argmax(axis=1)
-            live = live[~has]
-            if not live.size:
-                break
-        has = first >= 0
-        out[window[has]] = proposals[has, first[has]]
+        w = density.weight_flat(proposals)
+        tally["proposals"] += w.size
+        if np.any(w > envelope):
+            raise EnvelopeBreach(
+                f"weight {np.max(w):.6e} above envelope {envelope:.6e}")
+        accept = draws[..., dims] * envelope < w
+        has = accept.any(axis=1)
+        out[window[has]] = proposals[has, accept[has].argmax(axis=1)]
         blocks += ahead
-        stays = ~has & (blocks < 10000)
+        stays = ~has & (blocks < budget)
         stalled |= bool(np.any(~has & ~stays))
         window, blocks = window[stays], blocks[stays]
     if stalled:
@@ -611,10 +582,6 @@ class CrossingSet:
     chart: np.ndarray            # (M_included, N, sd)
     trajectory_ids: np.ndarray   # (M_included,)
     excluded_ids: np.ndarray
-
-    @property
-    def n_included(self):
-        return self.chart.shape[0]
 
     @property
     def n_excluded(self):

@@ -37,7 +37,6 @@ __all__ = [
     "GraphLeaf",
     "TanhProfile",
     "RippleProfile",
-    "AffineRelabeled",
     "ValidityReport",
     "frobenius_residual",
     "twisted_field",
@@ -132,9 +131,6 @@ class Foliation:
         return ValidityReport(margin=float(margin[worst]),
                               worst_point=xi[worst].copy(),
                               passed=bool(margin[worst] > 0))
-
-    def relabeled(self, alpha, beta):
-        return AffineRelabeled(self, alpha, beta)
 
 
 class ConstantNormal(Foliation):
@@ -291,40 +287,6 @@ class GraphLeaf(Foliation):
         if np.any(g2 >= 1.0):
             raise ValidityBreach("|grad h| >= 1: leaf not space-like there")
         return np.sqrt(1.0 - g2)
-
-
-class AffineRelabeled(Foliation):
-    """Same foliation, labels remapped by s -> alpha * s + beta (alpha > 0).
-
-    The leaves, normals and charts are unchanged; only the label/parameter
-    bookkeeping transforms. Used to exercise reparametrization invariance.
-    """
-
-    def __init__(self, base, alpha, beta):
-        if alpha <= 0:
-            raise ValueError("label map must be strictly increasing")
-        super().__init__(base.spatial_dims, base.validity_box)
-        self.base = base
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-
-    def label(self, x):
-        return self.alpha * self.base.label(x) + self.beta
-
-    def gradient(self, x):
-        return self.alpha * self.base.gradient(x)
-
-    def leaf_point(self, s, xi):
-        return self.base.leaf_point((np.asarray(s) - self.beta) / self.alpha, xi)
-
-    def chart_coords(self, x):
-        return self.base.chart_coords(x)
-
-    def chart_velocity(self, x, v):
-        return self.base.chart_velocity(x, v)
-
-    def area_element(self, s, xi):
-        return self.base.area_element((np.asarray(s) - self.beta) / self.alpha, xi)
 
 
 def frobenius_residual(field, x, step=1e-3) -> float:

@@ -24,6 +24,8 @@ from hbdsim.scenario import (
 )
 from hbdsim.wavefunction import BLOCK_ROWS, NParticleWavefunction, make_mode
 
+from conftest import AffineRelabeled
+
 D11 = SpinDimensionMode.D11
 
 
@@ -170,12 +172,12 @@ def test_reparametrization_invariance():
     base = integrate(psi, fol, pts0, 0.0, 3.0, 0.05).points[0]
 
     # pure dyadic rescaling traverses the same leaves: bitwise identical
-    re = fol.relabeled(2.0, 0.0)
+    re = AffineRelabeled(fol, 2.0, 0.0)
     again = integrate(psi, re, pts0, 0.0, 6.0, 0.1).points[0]
     assert np.array_equal(base, again)
 
     # non-dyadic relabeling agrees to roundoff-level tolerance
-    re2 = fol.relabeled(1.7, -0.3)
+    re2 = AffineRelabeled(fol, 1.7, -0.3)
     b2 = integrate(psi, re2, pts0, -0.3, 1.7 * 3.0 - 0.3,
                    1.7 * 0.05).points[0]
     ref = integrate(psi, fol, pts0, 0.0, 3.0, 0.025).points[0]

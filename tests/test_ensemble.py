@@ -24,7 +24,6 @@ from hbdsim.ensemble import (
     equivariance_test,
     flat_continuity_residual,
     sample_leaf,
-    trajectory_rng,
 )
 from hbdsim.errors import (
     BoundaryLeak,
@@ -40,6 +39,8 @@ from hbdsim.foliation import FlatTime, GraphLeaf, TanhProfile
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot, minkowski_norm_sq
 from hbdsim.scenario import bundled_scenario_path, load_scenario
 from hbdsim.wavefunction import NParticleWavefunction, make_mode
+
+from conftest import trajectory_rng
 
 D11 = SpinDimensionMode.D11
 D31 = SpinDimensionMode.D31
@@ -735,63 +736,67 @@ def test_breach_after_a_stall_still_rescans(monkeypatch, width):
     assert len(rescans) == MAX_RESTARTS - 1
 
 
-def _stream_oracle(dens, m_samples, seed, envelope):
-    # each sample's stream, block after block, weighed whole (as the
-    # sampler once did) until a block accepts: the proposals up to the end
-    # of that block, and the position of the first accepted one
-    lo = dens.axis_boxes[:, 0]
-    span = dens.axis_boxes[:, 1] - lo
-    gens = [trajectory_rng(seed, i) for i in range(m_samples)]
-    streams = [[] for _ in range(m_samples)]
-    first = [None] * m_samples
-    pending = list(range(m_samples))
-    while pending:
-        draws = np.stack([gens[i].random((ensemble.PROPOSAL_BLOCK,
-                                          dens.dims + 1)) for i in pending])
-        proposals = lo + draws[..., :dens.dims] * span
-        accept = draws[..., dens.dims] * envelope < dens.weight_flat(proposals)
-        for r, i in enumerate(pending):
-            if accept[r].any():
-                first[i] = (len(streams[i]) * ensemble.PROPOSAL_BLOCK
-                            + int(accept[r].argmax()))
-            streams[i].append(proposals[r])
-        pending = [i for i in pending if first[i] is None]
-    return [np.concatenate(st) for st in streams], first
-
-
 def test_headline_sampler_weighs_up_to_each_first_acceptance(monkeypatch):
-    # the 2048 headline at the shipped seed: every sample weighs its stream
-    # in order up to the end of the sub-block holding its first acceptance,
-    # each such proposal exactly once and no other; whole 64-proposal
-    # blocks weighed 187968 rows
+    # the 2048 headline at the shipped seed: each round is one Philox pass
+    # and one weight call over the same rows, and each sample weighs a
+    # prefix of its own stream, whole blocks, up to the end of the round
+    # of its first acceptance, which is its sample. Stopping at that
+    # acceptance's 16 proposals weighed 127088 rows
     dens = _headline_density()
     dens.scan()
-    weighed = []
-    weight_flat = dens.weight_flat
+    passes, weighed = [], []
+    draws, weight_flat = ensemble._proposal_draws, dens.weight_flat
 
-    def recording(u):
-        weighed.append(np.array(u).reshape(-1, dens.dims))
+    def recording_draws(seed, samples, blocks, dims):
+        passes.append(np.asarray(samples))
+        return draws(seed, samples, blocks, dims)
+
+    def recording_weight(u):
+        weighed.append(np.array(u))
         return weight_flat(u)
 
-    monkeypatch.setattr(dens, "weight_flat", recording)
+    monkeypatch.setattr(ensemble, "_proposal_draws", recording_draws)
+    monkeypatch.setattr(dens, "weight_flat", recording_weight)
     ss = sample_leaf(dens, 2048, 20260808)
-    rows = np.concatenate(weighed)
-    assert len(rows) == ss.proposals == 127088 and ss.attempts == 1
     monkeypatch.setattr(dens, "weight_flat", weight_flat)
-    streams, first = _stream_oracle(dens, 2048, 20260808, ss.envelope)
-    assert sum(map(len, streams)) == 187968
-    sub = ensemble.SUB_BLOCK
-    allowed = np.concatenate([st[:(a // sub + 1) * sub]
-                              for st, a in zip(streams, first)])
-    assert sorted(map(bytes, rows)) == sorted(map(bytes, allowed))
+    block = ensemble.PROPOSAL_BLOCK
+    assert len(passes) == len(weighed)
+    drawn = sum(len(p) for p in passes) * block
+    assert drawn == sum(u.size // dens.dims for u in weighed)
+    assert drawn == ss.proposals == 127920 and ss.attempts == 1
+    # each round's samples: pass r draws their blocks in window order,
+    # ``len(p) // len(u)`` blocks each
+    window = [p[::len(p) // len(u)] for p, u in zip(passes, weighed)]
+    owner = np.concatenate([np.repeat(w, u.shape[1])
+                            for w, u in zip(window, weighed)])
+    last = np.zeros(2048, dtype=int)     # the rows of each one's last round
+    for w, u in zip(window, weighed):
+        last[w] = u.shape[1]
+    rows = np.concatenate([u.reshape(-1, dens.dims) for u in weighed])
+    order = np.argsort(owner, kind="stable")
+    counts = np.bincount(owner, minlength=2048)
+    lo = dens.axis_boxes[:, 0]
+    span = dens.axis_boxes[:, 1] - lo
+    streams, bars = [], []
+    for i, n in enumerate(counts):
+        assert n and n % block == 0
+        stream = trajectory_rng(20260808, i).random((n, dens.dims + 1))
+        streams.append(lo + stream[:, :dens.dims] * span)
+        bars.append(stream[:, dens.dims] * ss.envelope)
+    assert rows[order].tobytes() == np.concatenate(streams).tobytes()
+    accept = np.split(np.concatenate(bars) < weight_flat(
+        np.concatenate(streams)), np.cumsum(counts)[:-1])
+    first = np.array([int(a.argmax()) for a in accept])
+    assert all(a.any() for a in accept)
+    assert np.all(first >= counts - last)
     assert ss.chart.reshape(2048, -1).tobytes() == np.array(
-        [st[a] for st, a in zip(streams, first)]).tobytes()
+        [st[f] for st, f in zip(streams, first)]).tobytes()
 
 
 def test_a_lone_sample_draws_blocks_ahead(monkeypatch):
     # a lone sample that never accepts draws LOOKAHEAD_BLOCKS of its
-    # blocks per pass, weighs them SUB_BLOCK proposals at a time in stream
-    # order, and stalls after exactly 10000 blocks
+    # blocks per pass and weighs them in one call, in stream order, and
+    # stalls after exactly 640000 proposals: 625 passes of 64 blocks
     dens, rescans = _sabotaged_density(monkeypatch, 0.0)
     passes, weighed = [], []
     draws = ensemble._proposal_draws
@@ -810,11 +815,11 @@ def test_a_lone_sample_draws_blocks_ahead(monkeypatch):
         sample_leaf(dens, 1, seed=3)
     assert rescans == []
     ahead = ensemble.LOOKAHEAD_BLOCKS
-    assert passes == [list(range(b, b + ahead)) for b in range(0, 10000, ahead)]
-    assert {u.shape for u in weighed} == {(1, ensemble.SUB_BLOCK, 1)}
+    assert ahead == 64 and len(passes) == 625
+    assert passes == [list(range(b, b + ahead)) for b in range(0, 40000, ahead)]
+    assert {u.shape for u in weighed} == {(1, 1024, 1)}
     lo, hi = dens.axis_boxes[0]
-    stream = lo + trajectory_rng(3, 0).random(
-        (10000 * ensemble.PROPOSAL_BLOCK, 2))[:, 0] * (hi - lo)
+    stream = lo + trajectory_rng(3, 0).random((640000, 2))[:, 0] * (hi - lo)
     assert np.concatenate(weighed).ravel().tobytes() == stream.tobytes()
 
 
@@ -833,7 +838,7 @@ def test_sample_set_counts_every_attempt(monkeypatch):
     ss = sample_leaf(dens, 100, seed=13)
     assert ss.attempts == 2
     assert ss.proposals == sum(rows) > 0
-    assert ss.proposals % ensemble.SUB_BLOCK == 0
+    assert ss.proposals % ensemble.PROPOSAL_BLOCK == 0
 
 
 def test_sampling_at_a_negative_seed_equals_the_oracle():
@@ -850,7 +855,7 @@ def test_sampler_memory_does_not_grow_with_the_sample_count():
     # a window of GRID_POINTS // PROPOSAL_BLOCK samples draws one round of
     # proposals in one pass, weighed in blocks of BLOCK_ROWS rows. The
     # peak, 2.57 MB, is the boundary flux's; the rounds themselves peak
-    # at 1.80 MB. The bound leaves 0.43 MB of margin. With one Philox
+    # at 1.87 MB. The bound leaves 0.43 MB of margin. With one Philox
     # generator per sample and 8192-row weight blocks the rounds peaked
     # at 3.2-3.8 MB, and with all 2048 samples pending at once the
     # proposals alone took 10 MB
@@ -999,7 +1004,7 @@ def test_crossings_exclude_halted():
                      for x in (-2.0, 0.0, 2.5)])[:, None, :]
     ens = integrate_ensemble(psi, fol, pts0, 0.0, 5.0, 0.05)
     cs = crossings(ens, 5.0)
-    assert cs.n_excluded == len(ens.points) - cs.n_included
+    assert cs.n_excluded == len(ens.points) - len(cs.chart)
     assert cs.n_excluded >= 1
     events_traj = {t for t, _, _ in ens.events}
     assert set(cs.excluded_ids) == events_traj

@@ -3,7 +3,6 @@ import pytest
 
 from hbdsim.errors import ValidityBreach
 from hbdsim.foliation import (
-    AffineRelabeled,
     ConstantNormal,
     FlatTime,
     GraphLeaf,
@@ -13,6 +12,8 @@ from hbdsim.foliation import (
     twisted_field,
 )
 from hbdsim.geometry import minkowski_dot
+
+from conftest import AffineRelabeled
 
 
 def tanh_leaf(a=0.5, b=1.2, box=((-8.0, 8.0),), sd=1):
@@ -186,7 +187,7 @@ def test_validity_scan_margins():
 
 def test_relabeled_foliation():
     fol = tanh_leaf(0.5, 0.8)
-    re = fol.relabeled(2.0, 0.5)
+    re = AffineRelabeled(fol, 2.0, 0.5)
     assert isinstance(re, AffineRelabeled)
     x = fol.leaf_point(1.0, np.array([0.3]))
     assert abs(re.label(x) - 2.5) < 1e-14
@@ -195,7 +196,7 @@ def test_relabeled_foliation():
     n2 = re.normal(x[None])
     assert np.max(np.abs(n1 - n2)) < 1e-14
     with pytest.raises(ValueError):
-        fol.relabeled(-1.0, 0.0)
+        AffineRelabeled(fol, -1.0, 0.0)
 
 
 def test_contains_spatial():

@@ -584,7 +584,7 @@ def test_report_schema_stable(tmp_path):
 
 
 def test_report_has_a_deterministic_sampler_block(tmp_path):
-    from hbdsim.ensemble import ENVELOPE_FACTOR, SUB_BLOCK, LeafDensity
+    from hbdsim.ensemble import ENVELOPE_FACTOR, PROPOSAL_BLOCK, LeafDensity
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(small_scenario_dict(size=40)))
     sc = load_scenario(path)
@@ -594,7 +594,7 @@ def test_report_has_a_deterministic_sampler_block(tmp_path):
     assert set(sampler) == {"proposals_weighed", "samples_accepted",
                             "acceptance_rate", "envelope", "attempts"}
     assert sampler["samples_accepted"] == 40 and sampler["attempts"] == 1
-    assert sampler["proposals_weighed"] % SUB_BLOCK == 0
+    assert sampler["proposals_weighed"] % PROPOSAL_BLOCK == 0
     assert sampler["acceptance_rate"] == 40 / sampler["proposals_weighed"]
     eb = sc.ensemble
     density = LeafDensity(sc.foliation, sc.integration.s0, sc.psi, eb.boxes,
