@@ -23,15 +23,15 @@ sum_i a_l(i) M_i with M_0 = I, M_i = alpha^i, a_l(0) = n_l^0 and a_l(i) =
 namely j_k^mu = sum_{c: c_k = mu} T_c prod_{l != k} a_l(c_l) and
 rho = sum_c T_c prod_l a_l(c_l). Every M_c has one nonzero entry per row,
 so T_c is a sum of D permuted, phased products per configuration. The
-kernel works on component-major blocks of a fixed number of rows and sums
-in a fixed order, so its values do not depend on batch shape. The
-integrator calls it once per RK stage, often on 2-4 rows, where the fixed
-cost of a call outweighs the arithmetic, so all C x D terms of a block are
-formed in one pass: one gather through the cached permutation (D, C), two
-products (the conjugate component, the cached phases (D, C, 1)) and one
-sum over the components in order. A pass holds at most ``BLOCK_TERMS``
-terms, which bounds the temporaries for large D. Tests pin the agreement
-of the two paths.
+kernel takes a whole batch's rows, component-major (the caller bounds
+them: ``dynamics.BATCH_SIZE``), and sums in a fixed order, so its values
+do not depend on batch shape. The integrator calls it once per RK stage,
+often on 2-4 rows, where the fixed cost of a call outweighs the
+arithmetic, so all C x D terms of a pass are formed at once: one gather
+through the cached permutation (D, C), two products (the conjugate
+component, the cached phases (D, C, 1)) and one sum over the components
+in order. A pass holds at most ``BLOCK_TERMS`` terms, which bounds the
+temporaries for large D. Tests pin the agreement of the two paths.
 
 The leaf-density grids split every bilinear over psi's branch pairs into
 one-particle bilinears instead (``_branch_pieces``).
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +66,9 @@ __all__ = [
 # bilinears are mathematically real; anything above this (relative to the
 # squared spinor norm) indicates a representation bug, not roundoff
 IMAG_TOLERANCE = 1e-10
-BLOCK_ROWS = 1024      # most rows per kernel block
-BLOCK_TERMS = 1 << 16  # most terms D x C x rows per pass of a block;
-                       # bounds the temporaries (1 MB): D31 N=3 (D = C =
-                       # 64) takes 16 rows a pass, D11 N=2 a whole block
+BLOCK_TERMS = 1 << 16  # most terms D x C x rows per pass; bounds the
+                       # temporaries (1 MB): D31 N=3 (D = C = 64) takes
+                       # 16 rows a pass, D11 N=2 4096 rows
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
 
 
@@ -186,47 +184,43 @@ def _bilinear_table(n_particles, mode: SpinDimensionMode) -> _BilinearTable:
     return _BilinearTable(perm, phase)
 
 
-def _kernel_blocks(values, normals, n_particles, mode):
-    """Yield (lo, t, a, scale) for each block of rows.
+def _bilinears(values, normals, n_particles, mode):
+    """(t, a, scale) at a batch of rows.
 
     ``t`` holds the bilinears T_c = psi^dag M_c psi, shape (m,)*N + (rows,)
     with m = 1 + spatial dims; ``a`` the coefficients a_l(0) = n_l^0,
     a_l(i) = -n_l^i, shape (N, m, rows); ``scale`` psi^dag psi = Re T_0.
-    A block holds at most ``BLOCK_ROWS`` rows, and its bilinears are
-    formed in passes of at most ``BLOCK_TERMS`` terms.
+    The bilinears are formed in passes of at most ``BLOCK_TERMS`` terms;
+    the outputs span every row given, so the caller bounds the rows.
     Every sum runs over a leading axis in a fixed order and everything else
     is elementwise, so no value depends on the batch shape.
     """
     values = np.asarray(values)
-    vals = values.reshape(-1, values.shape[-1])
+    v = values.reshape(-1, values.shape[-1]).T.copy()   # (D, rows)
     normals = np.asarray(normals, dtype=float).reshape(-1, n_particles, 4)
     table = _bilinear_table(n_particles, mode)
     m = 1 + mode.spatial_dims
-    n_c = table.perm.shape[1]
+    rows = v.shape[1]
     step = max(1, BLOCK_TERMS // table.perm.size)   # rows per terms pass
-    for lo in range(0, vals.shape[0], BLOCK_ROWS):
-        v = vals[lo:lo + BLOCK_ROWS].T.copy()       # (D, rows)
-        vc = v.conj()[:, None]
-        rows = v.shape[1]
-        # every term conj(psi_r) phase psi_perm of every T_c, (D, C, rows)
-        # in passes of at most BLOCK_TERMS, summed over the components r
-        # in order: r is the outermost axis, also for one row, so no
-        # pairwise summation, and the sum starts from -0.0, which leaves
-        # its first term's bits as they are
-        t = np.empty((n_c, rows), dtype=complex)
-        for r0 in range(0, rows, step):
-            terms = v[:, r0:r0 + step].take(table.perm, axis=0)
-            terms *= vc[..., r0:r0 + step]
-            terms *= table.phase
-            np.add.reduce(terms, axis=0, out=t[:, r0:r0 + step],
-                          initial=_NEGATIVE_ZERO)
-        # a fresh C-ordered copy, so the caller's normals are never
-        # written; imaginary parts +0.0, spatial real parts negated
-        a = normals[lo:lo + rows, :, :m].transpose(1, 2, 0).astype(
-            complex, order="C")
-        spatial = a.real[:, 1:]
-        np.negative(spatial, out=spatial)
-        yield lo, t.reshape((m,) * n_particles + (rows,)), a, t[0].real
+    vc = v.conj()[:, None]
+    # every term conj(psi_r) phase psi_perm of every T_c, (D, C, rows) in
+    # passes of at most BLOCK_TERMS, summed over the components r in
+    # order: r is the outermost axis, also for one row, so no pairwise
+    # summation, and the sum starts from -0.0, which leaves its first
+    # term's bits as they are
+    t = np.empty((table.perm.shape[1], rows), dtype=complex)
+    for r0 in range(0, rows, step):
+        terms = v[:, r0:r0 + step].take(table.perm, axis=0)
+        terms *= vc[..., r0:r0 + step]
+        terms *= table.phase
+        np.add.reduce(terms, axis=0, out=t[:, r0:r0 + step],
+                      initial=_NEGATIVE_ZERO)
+    # a fresh C-ordered copy, so the caller's normals are never written;
+    # imaginary parts +0.0, spatial real parts negated
+    a = normals[:, :, :m].transpose(1, 2, 0).astype(complex, order="C")
+    spatial = a.real[:, 1:]
+    np.negative(spatial, out=spatial)
+    return t.reshape((m,) * n_particles + (rows,)), a, t[0].real
 
 
 def _contract(t, a, skip=None):
@@ -253,13 +247,12 @@ def currents_all_batch(values, normals, n_particles, mode: SpinDimensionMode):
     values = np.asarray(values)
     lead = values.shape[:-1]
     m = 1 + mode.spatial_dims
-    out = np.zeros((math.prod(lead), n_particles, 4))
-    for lo, t, a, scale in _kernel_blocks(values, normals, n_particles, mode):
-        j = np.empty((n_particles,) + t.shape[-2:], dtype=complex)
-        for k in range(n_particles):
-            j[k] = _contract(t, a, skip=k)
-        out[lo:lo + len(scale), :, :m] = _real_part(
-            j, scale, "a current").transpose(2, 0, 1)
+    t, a, scale = _bilinears(values, normals, n_particles, mode)
+    j = np.empty((n_particles,) + t.shape[-2:], dtype=complex)
+    for k in range(n_particles):
+        j[k] = _contract(t, a, skip=k)
+    out = np.zeros((len(scale), n_particles, 4))
+    out[:, :, :m] = _real_part(j, scale, "a current").transpose(2, 0, 1)
     return out.reshape(lead + (n_particles, 4))
 
 
@@ -267,11 +260,9 @@ def density_batch(values, normals, n_particles, mode: SpinDimensionMode):
     """rho at a batch of configurations, shape (...,): the sum of
     T_c Prod_l a_l(c_l) over every multi-index c."""
     values = np.asarray(values)
-    lead = values.shape[:-1]
-    out = np.empty(math.prod(lead))
-    for lo, t, a, scale in _kernel_blocks(values, normals, n_particles, mode):
-        out[lo:lo + len(scale)] = _real_part(_contract(t, a), scale, "rho")
-    return out.reshape(lead)
+    t, a, scale = _bilinears(values, normals, n_particles, mode)
+    return np.ascontiguousarray(_real_part(_contract(t, a), scale, "rho")
+                                ).reshape(values.shape[:-1])
 
 
 def _branch_pieces(factors, vectors, mode: SpinDimensionMode):
@@ -281,7 +272,7 @@ def _branch_pieces(factors, vectors, mode: SpinDimensionMode):
     bilinears h^i = f_b^dag M_i f_b' (M_0 = I, M_i = alpha^i) summed
     against a(0) = v^0, a(i) = -v^i of the vectors v (P, 4), shape (Q, P):
     at the leaf normals, each pair's factor of rho. The sums over the
-    components run in order, as in ``_kernel_blocks``, in passes of at most
+    components run in order, as in ``_bilinears``, in passes of at most
     ``BLOCK_TERMS`` terms; the pairs b = b' pass the reality guard.
     """
     table = _bilinear_table(1, mode)

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 SYNC_TOLERANCE = 1e-9
-BATCH_SIZE = 1024        # trajectories per integration job
+BATCH_SIZE = 1024        # rows per integration job and sampler weight block
 
 EVENT_NODE = "node_proximity"
 EVENT_VALIDITY = "validity_breach"

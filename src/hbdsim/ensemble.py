@@ -18,13 +18,14 @@ by pair, a product of each particle's own weighted sums of its pieces. The
 scan's and the flux's maxima run over the joint grid, slab by slab (at
 most ``GRID_POINTS`` points), keeping only each slab's maxima and first
 argmax, which are exact, so no result depends on the slab size. Only the
-sampler's weights form psi, in blocks of ``currents.BLOCK_ROWS`` rows,
-and the sampler draws for a window of at most
-``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing exactly the
-proposals it draws. An equilibrium run then holds, per trajectory, only
-its sample and its configurations at the grid labels that bracket the
-leaves it reads, the columns ``crossings`` needs (``integrate_ensemble``'s
-``keep_labels``); no array grows with the path length. The grid sizes
+sampler's weights form psi, in blocks of ``dynamics.BATCH_SIZE`` rows
+as an integration job does, and the sampler draws for a window of at
+most ``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing exactly
+the proposals it draws. An equilibrium run then holds, per trajectory,
+only its sample and its configurations at the grid labels that bracket
+the leaves it reads, the columns ``crossings`` needs
+(``integrate_ensemble``'s ``keep_labels``); no array grows with the path
+length. The grid sizes
 and the sampler's settings are module constants, not per-call
 parameters, so every grid stays within the caps that scenario parsing
 checks.
@@ -47,11 +48,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import BLOCK_ROWS, _branch_pieces, density_batch
+from .currents import _branch_pieces, density_batch
 from .errors import (BoundaryLeak, EmptyMarginal, EnvelopeBreach,
                      LabelOutOfRange, NoSamples, SamplerStall)
 from .geometry import alpha, lift_to_particle, minkowski_norm_sq
-from .dynamics import TrajectoryEnsemble, _bracket
+from .dynamics import BATCH_SIZE, TrajectoryEnsemble, _bracket
 
 __all__ = [
     "LeafDensity",
@@ -69,8 +70,6 @@ MAX_QUADRATURE_NODES = 50_000_000      # cap on the points of one grid
 BIN_ORDER = 8            # Gauss-Legendre nodes per axis in each bin
 CDF_RESOLUTION = 2049    # points of the marginal CDF grid
 PROPOSAL_BLOCK = 16      # proposals a sample draws and weighs per block
-LOOKAHEAD_BLOCKS = 64    # a window of w samples draws LOOKAHEAD_BLOCKS // w
-                         # blocks per sample and round, at least one
 ENVELOPE_FACTOR = 1.1    # rejection envelope over the scanned max weight
 MAX_RESTARTS = 3         # sampling attempts, each after a finer rescan
 RESCAN_FACTOR = 2        # scan resolution growth per rescan
@@ -192,17 +191,17 @@ class LeafDensity:
     """rho times the chart area element on one leaf, over a sampling box.
 
     The unnormalized weight at a chart tuple (xi_1, ..., xi_N) is
-    rho(points, normals) * prod_k area_element(s, xi_k); the normalization
-    constant Z is computed by tensor Gauss-Legendre quadrature over the box.
-    With ``flat_normals=True`` the leaf normals are replaced by (1,0,0,0),
-    which detunes the density: that variant exists purely as the negative
-    control of the equivariance test.
+    rho(points, normals) * prod_k area_element(s, xi_k); the bin masses
+    and marginal CDFs integrate it by tensor Gauss-Legendre quadrature and
+    normalize by their own sum and last value. With ``flat_normals=True`` the leaf normals are
+    replaced by (1,0,0,0), which detunes the density: that variant exists
+    purely as the negative control of the equivariance test.
 
-    Every grid quantity (the scan, the normalization, the bin masses, the
-    marginal CDFs and the boundary flux) is built from each particle's
-    points, normals, area elements and branch-pair pieces on its own axes
-    (see the module docstring). Only ``weight_flat`` evaluates psi, one
-    row per configuration, for the sampler's proposals.
+    Every grid quantity (the scan, the bin masses, the marginal CDFs and
+    the boundary flux) is built from each particle's points, normals, area
+    elements and branch-pair pieces on its own axes (see the module
+    docstring). Only ``weight_flat`` evaluates psi, one row per
+    configuration, for the sampler's proposals.
     """
 
     def __init__(self, foliation, s, psi, boxes, quad_order=64,
@@ -232,7 +231,6 @@ class LeafDensity:
         self._pair_weights = (np.where(left == right, 1.0, 2.0)
                               * (c[left].conj() * c[right]))
         self._scan = None
-        self._z = None
 
     # -- geometry plumbing --------------------------------------------------
     def chart_tuples(self, flat):
@@ -251,14 +249,15 @@ class LeafDensity:
     def weight_flat(self, u):
         """Unnormalized sampling weight at joint chart vectors (..., dims).
 
-        Rows are evaluated in blocks of ``BLOCK_ROWS``; every operation is
+        Rows are evaluated in blocks of ``dynamics.BATCH_SIZE``, which
+        bound psi's and the kernel's temporaries; every operation is
         row-wise, so the values do not depend on the batch shape.
         """
         xi = self.chart_tuples(u)
         rows = xi.reshape((-1,) + xi.shape[-2:])
         out = np.empty(len(rows))
-        for lo in range(0, len(rows), BLOCK_ROWS):
-            block = rows[lo:lo + BLOCK_ROWS]
+        for lo in range(0, len(rows), BATCH_SIZE):
+            block = rows[lo:lo + BATCH_SIZE]
             pts = self.foliation.leaf_point(self.s, block)
             rho = density_batch(self.psi.evaluate_batch(pts),
                                 self._normals(pts), self.psi.n_particles,
@@ -267,7 +266,7 @@ class LeafDensity:
             for k in range(self.psi.n_particles):
                 area = area * self.foliation.area_element(self.s,
                                                           block[:, k, :])
-            out[lo:lo + BLOCK_ROWS] = rho * area
+            out[lo:lo + BATCH_SIZE] = rho * area
         return out.reshape(xi.shape[:-2])
 
     def _grid_points(self, axes):
@@ -362,14 +361,6 @@ class LeafDensity:
 
     def max_rho(self):
         return self.scan()["max_rho"]
-
-    def normalization(self):
-        """Z = integral of the weight over the box (Gauss-Legendre, cached)."""
-        if self._z is None:
-            nodes, weights = _gauss_legendre_axes(self.axis_boxes,
-                                                  self.quad_order)
-            self._z = float(np.sum(self._integral(nodes, weights)))
-        return self._z
 
     def bin_masses(self, bins_per_axis):
         """Normalized predicted masses on a regular joint binning.
@@ -481,10 +472,11 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
     is reproducible bit for bit for any execution order. Samples draw in a
     window of at most ``GRID_POINTS // PROPOSAL_BLOCK`` at a time, refilled
     in index order. Each round, every sample of a window of w takes its
-    next max(1, ``LOOKAHEAD_BLOCKS`` // w) blocks, so one round holds at
-    most ``GRID_POINTS`` proposals whatever M is; they are drawn in one
-    pass and weighed in one call, and each sample is its stream's first
-    accepted proposal. A weighed proposal above the envelope triggers a
+    next max(1, (``dynamics.BATCH_SIZE`` // ``PROPOSAL_BLOCK``) // w)
+    blocks, so one round holds at most ``GRID_POINTS`` proposals whatever
+    M is, and at most one weight block once w <= 64; they are drawn in
+    one pass and weighed in one call, and each sample is its stream's
+    first accepted proposal. A weighed proposal above the envelope triggers a
     finer rescan and a full deterministic restart, at most
     ``MAX_RESTARTS`` attempts in all. A sample that accepts none of its
     first 640000 proposals makes the attempt raise ``SamplerStall`` once
@@ -527,10 +519,12 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
                     tally):
     # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples,
     # entered in index order. Each round, every sample of a window of w
-    # takes its next max(1, LOOKAHEAD_BLOCKS // w) blocks, at most
-    # GRID_POINTS rows in all; a sample's block j is a function of (seed,
-    # sample, j) alone, so the round draws its blocks in one pass, weighs
-    # them in one call, and each sample keeps its first accepted proposal.
+    # takes its next max(1, (BATCH_SIZE // PROPOSAL_BLOCK) // w) blocks:
+    # at most GRID_POINTS rows in all, and at most one weight block of
+    # BATCH_SIZE rows once w <= 64. A sample's block j is a function of
+    # (seed, sample, j) alone, so the round draws its blocks in one pass,
+    # weighs them in one call, and each sample keeps its first accepted
+    # proposal.
     # A sample leaves once it accepts or has drawn its stall budget; a
     # stall is raised only once the window drains, so a breach in any
     # sample's weighed proposals wins over it. ``tally["proposals"]``
@@ -549,7 +543,7 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
             window = np.concatenate([window, fresh])
             blocks = np.concatenate([blocks, np.zeros(fresh.size, dtype=int)])
 
-        ahead = min(max(1, LOOKAHEAD_BLOCKS // window.size),
+        ahead = min(max(1, BATCH_SIZE // PROPOSAL_BLOCK // window.size),
                     budget - int(blocks.max()))
         draws = _proposal_draws(
             seed, np.repeat(window, ahead),

@@ -18,14 +18,15 @@ phases a slice, a view; a factor whose modes are not one run in its own
 order takes them by index, through the same expression. For a row
 batch (one point tuple per row, ``evaluate_batch``) the combine stage
 then takes Kronecker products of the factor values over the slots and
-sums the branches. The leaf-density grids never form psi: they take the
-factor values themselves, each particle's on its own point set only
-(``evaluate_factors``, one factor pass per particle). Every operation is
-elementwise or a sum in a fixed order, so values do not depend on batch
-shape. The integrator evaluates psi once per RK stage, often on 2-4 rows,
-where a call's fixed cost outweighs its arithmetic, so what every call
-would recompute is fixed at construction and the phase pass runs once per
-chunk, not once per slot.
+sums the branches, over all the rows it is given; the code that forms
+the batch bounds them (``dynamics.BATCH_SIZE``). The leaf-density grids
+never form psi: they take the factor values themselves, each particle's
+on its own point set only (``evaluate_factors``, one factor pass per
+particle). Every operation is elementwise or a sum in a fixed order, so
+values do not depend on batch shape. The integrator evaluates psi once
+per RK stage, often on 2-4 rows, where a call's fixed cost outweighs its
+arithmetic, so what every call would recompute is fixed at construction
+and the phase pass runs once per chunk, not once per slot.
 
 A phase exp(-i theta), theta = p.x, comes from the tangent half-angle
 identity: with t = tan(theta / 2) and w = -2 / (1 + t^2),
@@ -61,7 +62,6 @@ __all__ = [
     "dirac_residual",
 ]
 
-BLOCK_ROWS = 4096      # rows per evaluation block; bounds the output block
 CHUNK_TERMS = 16384    # mode x component terms of a slot's largest factor
                        # per factor-stage chunk
 
@@ -269,24 +269,17 @@ class NParticleWavefunction:
     def evaluate_batch(self, points) -> np.ndarray:
         """Values of psi at a batch of point tuples, shape (..., N, 4) -> (..., D).
 
-        Rows are evaluated in blocks of ``BLOCK_ROWS``; every operation is
-        row-wise, so the values do not depend on the batch shape. A batch
-        of one block is returned as the kernel made it, without a copy.
+        Every operation is row-wise, so the values do not depend on the
+        batch shape. Only the factor stage works in chunks; the rest spans
+        the batch, whose rows the caller bounds (``dynamics.BATCH_SIZE``).
         """
         x = np.asarray(points, dtype=float)
         if x.shape[-2:] != (self.n_particles, 4):
             raise ValueError(f"points must have shape (..., {self.n_particles}, 4)")
         # slot-major (N, rows, 4): slot k's points are slots[k]
         slots = x.reshape((-1, self.n_particles, 4)).transpose(1, 0, 2)
-        shape = x.shape[:-2] + (self.dim,)
-        rows = slots.shape[1]
-        if rows <= BLOCK_ROWS:
-            return self._combine(self._slot_factors(slots)).reshape(shape)
-        out = np.empty((rows, self.dim), dtype=complex)
-        for lo in range(0, rows, BLOCK_ROWS):
-            block = slots[:, lo:lo + BLOCK_ROWS]
-            out[lo:lo + BLOCK_ROWS] = self._combine(self._slot_factors(block))
-        return out.reshape(shape)
+        return self._combine(self._slot_factors(slots)).reshape(
+            x.shape[:-2] + (self.dim,))
 
     def evaluate_factors(self, point_sets):
         """Each particle's factor values (B, d, P_k) on its own points

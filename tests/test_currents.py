@@ -10,7 +10,7 @@ from hbdsim.checks import (
     random_state,
 )
 from hbdsim.currents import (
-    BLOCK_ROWS,
+    BLOCK_TERMS,
     currents_all_batch,
     current_jk,
     density_batch,
@@ -139,16 +139,20 @@ def test_dense_vs_batch_paths_agree(rng):
 
 
 def test_kernel_bits_independent_of_batch_shape():
-    # 5000 rows span several kernel blocks, the last one ragged. One-row,
-    # two-row and seven-row calls on windows that straddle a block boundary
-    # and the end, a 3-d batch and the whole batch must give the same bits,
-    # and the caller's arrays must come back untouched
-    assert 2 * BLOCK_ROWS < 5000 and 5000 % BLOCK_ROWS
-    windows = [range(BLOCK_ROWS - 25, BLOCK_ROWS + 24), range(4950, 5000)]
+    # one call on 5000 rows forms its bilinears in passes of at most
+    # BLOCK_TERMS terms. One-row, two-row and seven-row calls on windows
+    # that straddle the first pass boundary (where it lies below 5000
+    # rows: 16 rows for D31 N=3, 4096 for D11 N=2) and the end, a zero-row
+    # call, a 3-d batch and the whole batch must give the same bits, and
+    # the caller's arrays must come back untouched
     rng = np.random.default_rng(59)
     for mode in (D11, D31):
         for n in (1, 2, 3):
             dim = mode.spin_space_dim(n)
+            step = BLOCK_TERMS // cmod._bilinear_table(n, mode).perm.size
+            windows = [range(4950, 5000)]
+            if step < 5000:
+                windows.append(range(max(0, step - 25), step + 24))
             vals = rng.normal(size=(5000, dim)) + 1j * rng.normal(
                 size=(5000, dim))
             fol = random_curved_foliation(rng, mode.spatial_dims)
@@ -165,6 +169,8 @@ def test_kernel_bits_independent_of_batch_shape():
                         got = np.concatenate(pieces)
                         assert np.array_equal(
                             got, whole[window.start:window.start + len(got)])
+                empty = kernel(vals[:0], normals[:0], n, mode)
+                assert empty.shape == (0,) + whole.shape[1:]
                 shaped = kernel(vals.reshape(50, 100, dim),
                                 normals.reshape(50, 100, n, 4), n, mode)
                 assert np.array_equal(shaped.reshape(whole.shape), whole)

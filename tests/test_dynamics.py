@@ -22,7 +22,7 @@ from hbdsim.scenario import (
     bundled_scenario_path,
     load_scenario,
 )
-from hbdsim.wavefunction import BLOCK_ROWS, NParticleWavefunction, make_mode
+from hbdsim.wavefunction import NParticleWavefunction, make_mode
 
 from conftest import AffineRelabeled
 
@@ -78,16 +78,17 @@ def test_flat_velocity_reduces_to_guiding_law():
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_flow_of_a_few_rows_equals_their_rows_of_a_large_batch(name):
     # a scenario's 2-4 starting configurations, alone and as rows of a
-    # 5000-row batch of configurations on the same leaf: the rows straddle
-    # the boundary of two evaluation blocks, and every output of _flow
-    # keeps its bits
+    # 9000-row batch of configurations on the same leaf: the rows straddle
+    # the boundary of psi's first two factor-stage chunks, and every
+    # output of _flow keeps its bits
     sc = load_scenario(bundled_scenario_path(name))
     x = sc.initial_configurations()
     xi = np.random.default_rng(31).uniform(
-        -6.0, 6.0, size=(5000,) + sc.integration.initial_positions.shape[1:])
+        -6.0, 6.0, size=(9000,) + sc.integration.initial_positions.shape[1:])
     batch = sc.foliation.leaf_point(sc.integration.s0, xi)
-    rows = BLOCK_ROWS - 1 + np.arange(len(x))
-    assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS and rows[-1] >= BLOCK_ROWS
+    chunk = sc.psi._chunk_points
+    rows = chunk - 1 + np.arange(len(x))
+    assert rows[-1] >= chunk and rows[-1] < len(batch)
     batch[rows] = x
     few = _flow(sc.psi, sc.foliation, x)
     many = _flow(sc.psi, sc.foliation, batch)

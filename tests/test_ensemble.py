@@ -63,6 +63,14 @@ def gauss_legendre_grid(boxes, order):
     return np.stack([m.ravel() for m in mesh], axis=-1), w
 
 
+def normalization(dens):
+    """Quadrature oracle: Z, the integral of the weight over the box, by
+    the density's own Gauss-Legendre rule."""
+    nodes, weights = ensemble._gauss_legendre_axes(dens.axis_boxes,
+                                                   dens.quad_order)
+    return float(np.sum(dens._integral(nodes, weights)))
+
+
 def quadrature_mean(dens, axis):
     """Quadrature oracle: the mean of one joint-chart coordinate under the
     normalized density, by the density's own Gauss-Legendre rule with the
@@ -70,7 +78,7 @@ def quadrature_mean(dens, axis):
     nodes, weights = ensemble._gauss_legendre_axes(dens.axis_boxes,
                                                    dens.quad_order)
     weights[axis] = weights[axis] * nodes[axis]
-    return float(np.sum(dens._integral(nodes, weights))) / dens.normalization()
+    return float(np.sum(dens._integral(nodes, weights))) / normalization(dens)
 
 
 def rest_psi():
@@ -135,7 +143,7 @@ def test_gauss_legendre_polynomial_exactness():
 
 def test_leaf_density_uniform_normalization():
     dens = LeafDensity(FlatTime(1), 0.0, rest_psi(), [[[-2.0, 2.0]]], 32)
-    assert abs(dens.normalization() - 4.0) < 1e-12
+    assert abs(normalization(dens) - 4.0) < 1e-12
     assert abs(dens.max_weight() - 1.0) < 1e-12
     assert abs(quadrature_mean(dens, 0)) < 1e-12
 
@@ -257,7 +265,7 @@ def _grid_quantities(dens):
                                      - dens.axis_boxes[:, 0])
     return {
         "scan": [scan["max_weight"], scan["max_rho"], scan["argmax"]],
-        "normalization": dens.normalization(),
+        "normalization": normalization(dens),
         "quadrature_mean": [quadrature_mean(dens, a)
                             for a in range(dens.dims)],
         "bin_masses": [masses] + edges,
@@ -312,7 +320,7 @@ def test_headline_grid_memory_is_bounded():
 
 def test_weight_memory_is_bounded():
     # 2048 samples' blocks at once: 131072 proposal rows, weighed in blocks
-    # of BLOCK_ROWS rows
+    # of dynamics.BATCH_SIZE rows
     dens = _headline_density()
     u = np.random.default_rng(3).uniform(size=(2048, 64, dens.dims))
     u = dens.axis_boxes[:, 0] + u * (dens.axis_boxes[:, 1]
@@ -345,7 +353,7 @@ def test_grid_path_keeps_the_imaginary_residue_guard(monkeypatch):
     table = cmod._bilinear_table(1, D11)
     skewed = cmod._BilinearTable(table.perm, table.phase * np.exp(0.05j))
     monkeypatch.setattr(cmod, "_bilinear_table", lambda n, mode: skewed)
-    for quantity in (dens.scan, dens.normalization,
+    for quantity in (dens.scan, lambda: normalization(dens),
                      lambda: dens.bin_masses(2), lambda: dens.marginal_cdf(1),
                      dens.boundary_relative_flux):
         with pytest.raises(ConsistencyError):
@@ -389,7 +397,7 @@ def test_grid_integrals_match_a_dense_oracle(build, bins, axis):
     dens = build()
     boxes = dens.axis_boxes
     z = _dense_sum(dens, boxes, dens.quad_order)
-    assert abs(dens.normalization() - z) <= 1e-12 * abs(z)
+    assert abs(normalization(dens) - z) <= 1e-12 * abs(z)
 
     edges, masses = dens.bin_masses(bins)
     ref = np.empty(masses.shape)
@@ -560,7 +568,7 @@ def test_grid_consumers_match_row_path(build):
     assert close(scan["max_weight"], ref["max_weight"])
     assert close(scan["max_rho"], ref["max_rho"])
     assert np.array_equal(scan["argmax"], ref["argmax"])
-    assert close(dens.normalization(), ref["z"])
+    assert close(normalization(dens), ref["z"])
     widths = dens.axis_boxes[:, 1] - dens.axis_boxes[:, 0]
     for a in range(dens.dims):
         assert close(quadrature_mean(dens, a), ref["means"][a], widths[a])
@@ -794,9 +802,10 @@ def test_headline_sampler_weighs_up_to_each_first_acceptance(monkeypatch):
 
 
 def test_a_lone_sample_draws_blocks_ahead(monkeypatch):
-    # a lone sample that never accepts draws LOOKAHEAD_BLOCKS of its
-    # blocks per pass and weighs them in one call, in stream order, and
-    # stalls after exactly 640000 proposals: 625 passes of 64 blocks
+    # a lone sample that never accepts draws one weight block of
+    # dynamics.BATCH_SIZE rows per pass and weighs it in one call, in
+    # stream order, and stalls after exactly 640000 proposals: 625 passes
+    # of 64 blocks
     dens, rescans = _sabotaged_density(monkeypatch, 0.0)
     passes, weighed = [], []
     draws = ensemble._proposal_draws
@@ -814,7 +823,7 @@ def test_a_lone_sample_draws_blocks_ahead(monkeypatch):
     with pytest.raises(SamplerStall):
         sample_leaf(dens, 1, seed=3)
     assert rescans == []
-    ahead = ensemble.LOOKAHEAD_BLOCKS
+    ahead = dynamics.BATCH_SIZE // ensemble.PROPOSAL_BLOCK
     assert ahead == 64 and len(passes) == 625
     assert passes == [list(range(b, b + ahead)) for b in range(0, 40000, ahead)]
     assert {u.shape for u in weighed} == {(1, 1024, 1)}
@@ -853,12 +862,12 @@ def test_sampling_at_a_negative_seed_equals_the_oracle():
 
 def test_sampler_memory_does_not_grow_with_the_sample_count():
     # a window of GRID_POINTS // PROPOSAL_BLOCK samples draws one round of
-    # proposals in one pass, weighed in blocks of BLOCK_ROWS rows. The
-    # peak, 2.57 MB, is the boundary flux's; the rounds themselves peak
-    # at 1.87 MB. The bound leaves 0.43 MB of margin. With one Philox
-    # generator per sample and 8192-row weight blocks the rounds peaked
-    # at 3.2-3.8 MB, and with all 2048 samples pending at once the
-    # proposals alone took 10 MB
+    # proposals in one pass, weighed in blocks of dynamics.BATCH_SIZE
+    # rows. The peak, 2.57 MB, is the boundary flux's; the rounds
+    # themselves peak at 1.87 MB. The bound leaves 0.43 MB of margin. With
+    # one Philox generator per sample and 8192-row weight blocks the
+    # rounds peaked at 3.2-3.8 MB, and with all 2048 samples pending at
+    # once the proposals alone took 10 MB
     dens = _headline_density()
     dens.scan()
     assert _traced_peak(lambda: sample_leaf(dens, 2048, 20260808)) < 3 * 2 ** 20
@@ -1085,7 +1094,7 @@ def test_total_flux_leaf_independent():
              * np.exp(1j * minkowski_dot(md.four_momentum, xbar)))
         factor.append((w, md))
     psi = NParticleWavefunction.from_product_branches([(1.0, [factor])])
-    zs = [LeafDensity(fol, s, psi, [[[-14.0, 14.0]]], 96).normalization()
+    zs = [normalization(LeafDensity(fol, s, psi, [[[-14.0, 14.0]]], 96))
           for s in (0.0, 1.5, 3.0)]
     for z in zs[1:]:
         assert abs(z - zs[0]) < 1e-6 * zs[0]

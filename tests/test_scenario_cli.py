@@ -1,14 +1,19 @@
 import copy
+import importlib
 import itertools
 import json
+import math
+import pkgutil
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hbdsim
+from hbdsim import currents
 from hbdsim.cli import main, run_equilibrium, run_simulate
-from hbdsim.dynamics import integrate_ensemble
+from hbdsim.dynamics import BATCH_SIZE, integrate_ensemble
 from hbdsim.ensemble import (
     BIN_ORDER,
     CDF_RESOLUTION,
@@ -26,6 +31,7 @@ from hbdsim.scenario import (
     scenario_hash,
     write_trajectories_csv,
 )
+from hbdsim.wavefunction import NParticleWavefunction
 
 BUNDLED = ["curved_n1_packet", "curved_n2_entangled", "flat_n1_beat",
            "flat_n1_rest", "flat_n2_entangled", "ripple_n2_product",
@@ -600,6 +606,48 @@ def test_report_has_a_deterministic_sampler_block(tmp_path):
     density = LeafDensity(sc.foliation, sc.integration.s0, sc.psi, eb.boxes,
                           eb.quadrature_order, eb.scan_resolution)
     assert sampler["envelope"] == ENVELOPE_FACTOR * density.max_weight()
+
+
+def _record_row_traffic(monkeypatch):
+    # the most rows any one call of psi or a bilinear kernel receives, by
+    # kernel, wrapped wherever the package holds it
+    most = {}
+
+    def recording(name, fn, arg, trailing):
+        # rows: the batch axes of positional argument ``arg``
+        def wrapper(*args, **kwargs):
+            rows = math.prod(np.shape(args[arg])[:-trailing])
+            most[name] = max(most.get(name, 0), rows)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(NParticleWavefunction, "evaluate_batch", recording(
+        "evaluate_batch", NParticleWavefunction.evaluate_batch, 1, 2))
+    for name in ("currents_all_batch", "density_batch"):
+        fn = getattr(currents, name)
+        wrapped = recording(name, fn, 0, 1)
+        for info in pkgutil.iter_modules(hbdsim.__path__):
+            module = importlib.import_module(f"hbdsim.{info.name}")
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    return most
+
+
+def test_row_path_calls_hold_at_most_one_row_block(tmp_path, monkeypatch):
+    # the integrator's jobs and the sampler's weight blocks cut the row
+    # path into blocks of BATCH_SIZE rows: 2000 trajectories make jobs of
+    # 1024 and 976 rows, and a full sampler round of 8192 proposals makes
+    # eight weight blocks, so no call of psi or of a kernel gets more
+    sc = load_scenario(bundled_scenario_path("curved_n1_packet"))
+    assert sc.ensemble.size == 2000
+    most = _record_row_traffic(monkeypatch)
+    run_equilibrium(sc, tmp_path / "eq")
+    assert most == {"evaluate_batch": BATCH_SIZE,
+                    "currents_all_batch": BATCH_SIZE,
+                    "density_batch": BATCH_SIZE}
+    most.clear()
+    run_simulate(sc, tmp_path / "sim")
+    assert len(most) == 3 and max(most.values()) <= BATCH_SIZE
 
 
 def test_checks_cli(tmp_path):

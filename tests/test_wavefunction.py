@@ -7,7 +7,6 @@ import pytest
 from hbdsim.geometry import SpinDimensionMode, minkowski_dot, slash
 from hbdsim.scenario import bundled_scenario_path, load_scenario
 from hbdsim.wavefunction import (
-    BLOCK_ROWS,
     NParticleWavefunction,
     dirac_residual,
     make_mode,
@@ -474,21 +473,23 @@ def _row_independence_states():
     return d11, d31
 
 
-def test_blocked_evaluation_is_row_independent():
-    # 5000 rows span two evaluation blocks; batches of 1, 2 and 7 rows, an
-    # unaligned split and a 3-d batch must give the same bits
+def test_evaluation_is_row_independent():
+    # one call on 5000 rows, batches of 1, 2 and 7 rows, an unaligned
+    # split with a zero-row batch, and a 3-d batch must give the same bits
     x = np.random.default_rng(11).normal(0.0, 4.0, size=(5000, 2, 4))
-    assert BLOCK_ROWS < 5000 < 2 * BLOCK_ROWS
     for psi in _row_independence_states():
-        # the first block crosses a factor-stage chunk boundary
-        assert psi._chunk_points < BLOCK_ROWS
+        # the whole batch crosses factor-stage chunk boundaries, and the
+        # split cuts a chunk
+        assert psi._chunk_points < 4097 and 4097 % psi._chunk_points
         whole = psi.evaluate_batch(x)
         assert whole.shape == (5000, psi.dim) and whole.flags.c_contiguous
         for batch in (1, 2, 7):
             pieces = [psi.evaluate_batch(x[lo:lo + batch])
                       for lo in range(0, 5000, batch)]
             assert np.array_equal(np.concatenate(pieces), whole)
-        split = np.concatenate([psi.evaluate_batch(x[:4097]),
+        empty = psi.evaluate_batch(x[:0])
+        assert empty.shape == (0, psi.dim)
+        split = np.concatenate([psi.evaluate_batch(x[:4097]), empty,
                                 psi.evaluate_batch(x[4097:])])
         assert np.array_equal(whole, split)
         assert np.array_equal(psi.evaluate_batch(x.reshape(50, 100, 2, 4)),
