@@ -16,12 +16,12 @@ g_k^{bb'} = f_kb^dag B_k f_kb' on particle k's own points and w_bb' =
 conj(c_b) c_b', doubled for b < b'. An integral over a grid is then, pair
 by pair, a product of each particle's own weighted sums of its pieces. The
 scan's and the flux's maxima run over the joint grid, slab by slab (at
-most ``GRID_POINTS`` points), keeping only each slab's maxima and first
-argmax, which are exact, so no result depends on the slab size. Only the
-sampler's weights form psi, in blocks of ``dynamics.BATCH_SIZE`` rows
-as an integration job does, and the sampler draws for a window of at
-most ``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing exactly
-the proposals it draws. An equilibrium run then holds, per trajectory,
+most ``GRID_POINTS`` points), keeping only each slab's maxima, which are
+exact, so no result depends on the slab size. Only the sampler's weights
+form psi, in blocks of ``dynamics.BATCH_SIZE`` rows as an integration job
+does, and the sampler draws for a window of at most
+``GRID_POINTS // PROPOSAL_BLOCK`` samples at a time, weighing exactly the
+proposals it draws. An equilibrium run then holds, per trajectory,
 only its sample and its configurations at the grid labels that bracket
 the leaves it reads, the columns ``crossings`` needs
 (``integrate_ensemble``'s ``keep_labels``); no array grows with the path
@@ -44,7 +44,8 @@ acceptance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -162,25 +163,21 @@ def _pair_sum(pair_weights, parts):
 
 
 def _slabs(sizes):
-    # (rows, slab) for each slab of at most GRID_POINTS points of the
-    # tensor grid of point sets of the given sizes, in C order: the sets
-    # after the cut one whole, the cut set in runs and the sets before it
-    # pinned to one point each, so that ``rows`` is the slab's slice of
-    # the flattened grid; ``slab`` holds one slice per set
-    cut, inner = len(sizes) - 1, 1
-    while cut > 0 and inner * sizes[cut] <= GRID_POINTS:
-        inner *= sizes[cut]
-        cut -= 1
-    step = max(1, GRID_POINTS // inner)
-    whole = (slice(None),) * (len(sizes) - 1 - cut)
-    lo = 0
-    for pinned in np.ndindex(*sizes[:cut]):
-        head = tuple(slice(i, i + 1) for i in pinned)
-        for start in range(0, sizes[cut], step):
-            n = min(step, sizes[cut] - start) * inner
-            yield (slice(lo, lo + n),
-                   head + (slice(start, start + step),) + whole)
-            lo += n
+    # one slice per point set for each slab of at most GRID_POINTS points
+    # of the tensor grid of point sets of the given sizes, in C order: while
+    # the later sets together hold more than GRID_POINTS points, the first
+    # set is pinned point by point; otherwise it is cut into runs and the
+    # later sets stay whole
+    inner = math.prod(sizes[1:])
+    if inner > GRID_POINTS:
+        for i in range(sizes[0]):
+            for rest in _slabs(sizes[1:]):
+                yield (slice(i, i + 1),) + rest
+        return
+    step = GRID_POINTS // inner
+    whole = (slice(None),) * (len(sizes) - 1)
+    for start in range(0, sizes[0], step):
+        yield (slice(start, start + step),) + whole
 
 
 def _auto_resolution(dims):
@@ -291,12 +288,10 @@ class LeafDensity:
                 zip(self.psi.evaluate_factors(points), vectors)]
 
     def _joint(self, parts, areas):
-        # (rows, pair sum of ``parts``, area product) for each slab of the
-        # tensor grid of the particles' point sets; ``rows`` is the slab's
-        # slice of the flattened grid
-        for rows, slab in _slabs([len(a) for a in areas]):
-            yield (rows,
-                   _pair_sum(self._pair_weights,
+        # (pair sum of ``parts``, area product) for each slab of the tensor
+        # grid of the particles' point sets
+        for slab in _slabs([len(a) for a in areas]):
+            yield (_pair_sum(self._pair_weights,
                              [p[:, sl] for p, sl in zip(parts, slab)]),
                    _outer_product([a[sl] for a, sl in zip(areas, slab)]))
 
@@ -323,25 +318,18 @@ class LeafDensity:
         return [np.linspace(lo, hi, resolution) for lo, hi in self.axis_boxes]
 
     def scan(self):
-        """Grid maxima of the weight and of rho over the box (cached)."""
+        """Grid maxima of the weight and of rho over the box (cached):
+        ``{"max_weight": ..., "max_rho": ...}``."""
         if self._scan is None:
             axes = self._scan_axes(self.scan_resolution)
             points, areas = self._grid_points(axes)
-            # the slab maxima and the first argmax (max and argmax are
-            # exact, so these are the whole grid's)
-            max_rho, max_weight, imax = -np.inf, -np.inf, 0
-            for rows, rho, area in self._joint(self._pieces(points), areas):
-                w = rho * area
-                i = int(np.argmax(w))
-                if w.flat[i] > max_weight:
-                    max_weight, imax = w.flat[i], rows.start + i
+            # the slab maxima (max is exact, so these are the whole grid's)
+            max_weight = max_rho = -np.inf
+            for rho, area in self._joint(self._pieces(points), areas):
+                max_weight = max(max_weight, np.max(rho * area))
                 max_rho = max(max_rho, np.max(rho))
-            imax = np.unravel_index(imax, tuple(len(a) for a in axes))
-            self._scan = {
-                "max_weight": float(max_weight),
-                "max_rho": float(max_rho),
-                "argmax": np.array([a[i] for a, i in zip(axes, imax)]),
-            }
+            self._scan = {"max_weight": float(max_weight),
+                          "max_rho": float(max_rho)}
         return self._scan
 
     def rescan(self):
@@ -433,7 +421,7 @@ class LeafDensity:
                     self.foliation.gradient(x)))[:, None]
                 vectors[k] = (a_mu if side == 1 else -a_mu) * [1, -1, -1, -1]
                 # the face's largest flux from its slab maxima (exact)
-                for _, outward, area in self._joint(
+                for outward, area in self._joint(
                         self._pieces(points, vectors), areas):
                     worst = max(worst, float(np.max(
                         np.maximum(outward, 0.0) * area)))
@@ -442,11 +430,11 @@ class LeafDensity:
 
 @dataclass
 class SampleSet:
-    """Initial-leaf samples in chart coordinates plus their provenance."""
+    """Initial-leaf samples in chart coordinates, with the envelope they
+    were drawn under and the sampler's counts."""
 
     chart: np.ndarray            # (M, N, sd)
     density: LeafDensity
-    seed: int
     envelope: float
     proposals: int               # weighed, over every attempt
     attempts: int                # the first, then one per rescan
@@ -492,10 +480,6 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
             f"boundary flux {leak:.3e} of peak weight exceeds "
             f"{BOUNDARY_FLUX_TOLERANCE:.1e}; enlarge the sampling box")
 
-    dims = density.dims
-    lo = density.axis_boxes[:, 0]
-    span = density.axis_boxes[:, 1] - density.axis_boxes[:, 0]
-
     last_exc = None
     tally = {"proposals": 0}
     for attempt in range(MAX_RESTARTS):
@@ -503,10 +487,9 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
             density.rescan()
         envelope = ENVELOPE_FACTOR * density.max_weight()
         try:
-            flat = _rejection_fill(density, m_samples, seed, envelope,
-                                   lo, span, dims, tally)
+            flat = _rejection_fill(density, m_samples, seed, envelope, tally)
             return SampleSet(chart=density.chart_tuples(flat), density=density,
-                             seed=int(seed), envelope=float(envelope),
+                             envelope=float(envelope),
                              proposals=tally["proposals"],
                              attempts=attempt + 1)
         except EnvelopeBreach as exc:
@@ -515,8 +498,7 @@ def sample_leaf(density: LeafDensity, m_samples: int, seed: int) -> SampleSet:
         f"envelope still violated after {MAX_RESTARTS} attempts: {last_exc}")
 
 
-def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
-                    tally):
+def _rejection_fill(density, m_samples, seed, envelope, tally):
     # a refill window of at most GRID_POINTS // PROPOSAL_BLOCK samples,
     # entered in index order. Each round, every sample of a window of w
     # takes its next max(1, (BATCH_SIZE // PROPOSAL_BLOCK) // w) blocks:
@@ -529,6 +511,9 @@ def _rejection_fill(density, m_samples, seed, envelope, lo, span, dims,
     # stall is raised only once the window drains, so a breach in any
     # sample's weighed proposals wins over it. ``tally["proposals"]``
     # counts the proposals weighed
+    dims = density.dims
+    lo = density.axis_boxes[:, 0]
+    span = density.axis_boxes[:, 1] - density.axis_boxes[:, 0]
     out = np.empty((m_samples, dims))
     width = max(1, GRID_POINTS // PROPOSAL_BLOCK)
     budget = 640000 // PROPOSAL_BLOCK    # blocks drawn before a stall
@@ -629,18 +614,9 @@ class EquivarianceReport:
     predicted_masses: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self):
-        return {
-            "ensemble_size": self.ensemble_size,
-            "included": self.included,
-            "excluded": self.excluded,
-            "bins_per_axis": self.bins_per_axis,
-            "tv_distance": self.tv_distance,
-            "tv_threshold": self.tv_threshold,
-            "ks_stats": list(self.ks_stats),
-            "ks_threshold": self.ks_threshold,
-            "leak_mass": self.leak_mass,
-            "passed": self.passed,
-        }
+        """The scalar fields and the KS statistics (every field shown by
+        ``repr``), by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def equivariance_test(samples, density: LeafDensity, bins_per_axis: int,

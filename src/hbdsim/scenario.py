@@ -87,12 +87,10 @@ class EnsembleBlock:
 class Scenario:
     name: str
     mode: SpinDimensionMode
-    mass: float
     psi: NParticleWavefunction
     foliation: object
     integration: IntegrationBlock
     ensemble: EnsembleBlock | None
-    raw: dict
     content_hash: str
 
     @property
@@ -361,9 +359,9 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
             tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
             scan_resolution=scan_res)
 
-    return Scenario(name=raw.get("name", name), mode=mode, mass=mass,
-                    psi=psi, foliation=foliation, integration=integration,
-                    ensemble=ensemble, raw=raw, content_hash=scenario_hash(raw))
+    return Scenario(name=raw.get("name", name), mode=mode, psi=psi,
+                    foliation=foliation, integration=integration,
+                    ensemble=ensemble, content_hash=scenario_hash(raw))
 
 
 def load_scenario(path) -> Scenario:

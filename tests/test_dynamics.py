@@ -75,26 +75,37 @@ def test_flat_velocity_reduces_to_guiding_law():
     assert np.max(np.abs(v[:, 1] - vq[:, 0])) < 1e-12
 
 
+def _with_moving_branch(psi):
+    # psi plus a branch of one moving mode per particle. A single mode's
+    # flow (the rest state's, say) is the same at every point, since its
+    # phase cancels in the currents; a superposition's is not
+    md = make_mode([0.6] * psi.mode.spatial_dims, psi.mass, 1, 1, psi.mode)
+    return NParticleWavefunction.from_product_branches(
+        list(psi.branches) + [(0.5, [[(1.0, md)]] * psi.n_particles)])
+
+
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_flow_of_a_few_rows_equals_their_rows_of_a_large_batch(name):
     # a scenario's 2-4 starting configurations, alone and as rows of a
     # 9000-row batch of configurations on the same leaf: the rows straddle
     # the boundary of psi's first two factor-stage chunks, and every
-    # output of _flow keeps its bits
+    # output of _flow keeps its bits, for the scenario's state and for
+    # that state with a moving branch added
     sc = load_scenario(bundled_scenario_path(name))
     x = sc.initial_configurations()
     xi = np.random.default_rng(31).uniform(
         -6.0, 6.0, size=(9000,) + sc.integration.initial_positions.shape[1:])
-    batch = sc.foliation.leaf_point(sc.integration.s0, xi)
-    chunk = sc.psi._chunk_points
-    rows = chunk - 1 + np.arange(len(x))
-    assert rows[-1] >= chunk and rows[-1] < len(batch)
-    batch[rows] = x
-    few = _flow(sc.psi, sc.foliation, x)
-    many = _flow(sc.psi, sc.foliation, batch)
-    for a, b in zip(few, many):
-        assert a.shape == b[rows].shape
-        assert a.tobytes() == b[rows].tobytes()
+    for psi in (sc.psi, _with_moving_branch(sc.psi)):
+        batch = sc.foliation.leaf_point(sc.integration.s0, xi)
+        chunk = psi._chunk_points
+        rows = chunk - 1 + np.arange(len(x))
+        assert rows[-1] >= chunk and rows[-1] < len(batch)
+        batch[rows] = x
+        few = _flow(psi, sc.foliation, x)
+        many = _flow(psi, sc.foliation, batch)
+        for a, b in zip(few, many):
+            assert a.shape == b[rows].shape
+            assert a.tobytes() == b[rows].tobytes()
 
 
 def test_rest_mode_stays_put():

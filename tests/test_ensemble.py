@@ -219,9 +219,9 @@ def test_scan_of_several_slabs_evaluates_factors_once(monkeypatch):
         return slot_factors(x, slots)
 
     def recording(sizes):
-        for rows, slab in cut(sizes):
+        for slab in cut(sizes):
             slabs.append(slab)
-            yield rows, slab
+            yield slab
 
     monkeypatch.setattr(ensemble, "GRID_POINTS", 301)
     monkeypatch.setattr(psi, "_slot_factors", counting)
@@ -232,7 +232,27 @@ def test_scan_of_several_slabs_evaluates_factors_once(monkeypatch):
     assert len(slabs) == 6                 # runs of 7, 7, 7, 7, 7, 6 rows
     assert scan["max_weight"] == whole["max_weight"]
     assert scan["max_rho"] == whole["max_rho"]
-    assert np.array_equal(scan["argmax"], whole["argmax"])
+
+
+@pytest.mark.parametrize("grid_points, sizes, pinned", [
+    (1, [1], 0), (3, [7], 0), (8, [7], 0), (4, [3, 5], 1), (5, [1, 6, 1], 1),
+    (6, [2, 3, 4, 5], 2), (2, [2, 2, 3], 2), (11, [3, 1, 4, 3], 2),
+    (12, [3, 1, 4, 3], 0), (1, [2, 1, 2, 1], 3),
+])
+def test_slabs_cover_the_grid_once_in_c_order(monkeypatch, grid_points,
+                                               sizes, pinned):
+    # the slabs hold every joint grid point once, slab after slab in C
+    # order, each at most GRID_POINTS of them; while the later sets together
+    # exceed GRID_POINTS, each slab pins the leading set to one point
+    monkeypatch.setattr(ensemble, "GRID_POINTS", grid_points)
+    index = np.arange(np.prod(sizes)).reshape(sizes)
+    slabs = list(ensemble._slabs(sizes))
+    assert all(len(slab) == len(sizes) for slab in slabs)
+    assert all(1 <= index[slab].size <= grid_points for slab in slabs)
+    assert np.array_equal(
+        np.concatenate([index[slab].ravel() for slab in slabs]),
+        index.ravel())
+    assert all(index[slab].shape[:pinned] == (1,) * pinned for slab in slabs)
 
 
 def _headline_density():
@@ -264,7 +284,7 @@ def _grid_quantities(dens):
     u = dens.axis_boxes[:, 0] + u * (dens.axis_boxes[:, 1]
                                      - dens.axis_boxes[:, 0])
     return {
-        "scan": [scan["max_weight"], scan["max_rho"], scan["argmax"]],
+        "scan": [scan["max_weight"], scan["max_rho"]],
         "normalization": normalization(dens),
         "quadrature_mean": [quadrature_mean(dens, a)
                             for a in range(dens.dims)],
@@ -467,8 +487,7 @@ def _row_path_quantities(dens, bins):
     rho = density_batch(dens.psi.evaluate_batch(pts), normals,
                         dens.psi.n_particles, dens.psi.mode)
     w = dens.weight_flat(u)
-    out = {"max_weight": np.max(w), "max_rho": np.max(rho),
-           "argmax": u[np.argmax(w)]}
+    out = {"max_weight": np.max(w), "max_rho": np.max(rho)}
 
     nodes, wq = gauss_legendre_grid(dens.axis_boxes, dens.quad_order)
     wz = dens.weight_flat(nodes) * wq
@@ -554,7 +573,7 @@ def test_grid_consumers_match_row_path(build):
     # the tensor-grid path (per-particle branch bilinears, summed over the
     # branch pairs) agrees with evaluating psi and the bilinear kernel at
     # every joint grid point: the sums run in another order, so the values
-    # agree to rounding, and the scan finds the same grid point
+    # agree to rounding
     dens = build()
     bins = 4
     ref = _row_path_quantities(dens, bins)
@@ -567,7 +586,6 @@ def test_grid_consumers_match_row_path(build):
     scan = dens.scan()
     assert close(scan["max_weight"], ref["max_weight"])
     assert close(scan["max_rho"], ref["max_rho"])
-    assert np.array_equal(scan["argmax"], ref["argmax"])
     assert close(normalization(dens), ref["z"])
     widths = dens.axis_boxes[:, 1] - dens.axis_boxes[:, 0]
     for a in range(dens.dims):
