@@ -18,7 +18,6 @@ errors print a one-line JSON object describing the failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from datetime import datetime, timezone
@@ -180,6 +179,8 @@ def _emit_error(kind, message):
 
 
 def _worker_count(text):
+    import argparse
+
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -187,6 +188,10 @@ def _worker_count(text):
 
 
 def main(argv=None) -> int:
+    # imported here, so that a library caller of the run_* functions never
+    # loads argparse
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hbdsim",
         description="Hypersurface-guided Dirac trajectory simulator")

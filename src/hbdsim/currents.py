@@ -31,7 +31,10 @@ arithmetic, so all C x D terms of a pass are formed at once: one gather
 through the cached permutation (D, C), two products (the conjugate
 component, the cached phases (D, C, 1)) and one sum over the components
 in order. A pass holds at most ``BLOCK_TERMS`` terms, which bounds the
-temporaries for large D. Tests pin the agreement of the two paths.
+temporaries for large D. The coefficients then contract the bilinears
+one particle axis at a time, last first: one broadcast product and one
+reduce over that axis, from -0.0, so every sum runs in index order. Tests
+pin the agreement of the two paths and that order.
 
 The leaf-density grids split every bilinear over psi's branch pairs into
 one-particle bilinears instead (``_branch_pieces``).
@@ -70,6 +73,9 @@ BLOCK_TERMS = 1 << 16  # most terms D x C x rows per pass; bounds the
                        # temporaries (1 MB): D31 N=3 (D = C = 64) takes
                        # 16 rows a pass, D11 N=2 4096 rows
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
+# the reality guard's constants as 0-d arrays, which a ufunc takes as they
+# are, where it would convert a Python float on every call
+_IMAG_TOLERANCE, _TINY = np.array(IMAG_TOLERANCE), np.array(1e-300)
 
 
 def _check_normals(normals, n_particles):
@@ -84,7 +90,7 @@ def _check_normals(normals, n_particles):
 
 def _real_part(value, scale, what):
     imag = abs(value.imag)
-    if (imag > IMAG_TOLERANCE * np.maximum(scale, 1e-300)).any():
+    if (imag > _IMAG_TOLERANCE * np.maximum(scale, _TINY)).any():
         raise ConsistencyError(
             f"{what} has imaginary residue {imag.max():.3e} "
             f"above policy threshold")
@@ -215,25 +221,31 @@ def _bilinears(values, normals, n_particles, mode):
         terms *= table.phase
         np.add.reduce(terms, axis=0, out=t[:, r0:r0 + step],
                       initial=_NEGATIVE_ZERO)
-    # a fresh C-ordered copy, so the caller's normals are never written;
-    # imaginary parts +0.0, spatial real parts negated
-    a = normals[:, :, :m].transpose(1, 2, 0).astype(complex, order="C")
-    spatial = a.real[:, 1:]
-    np.negative(spatial, out=spatial)
+    # every component negated into a fresh array, so the caller's normals
+    # are never written, then the time components copied back; a C-ordered
+    # complex copy, imaginary parts +0.0
+    a = np.negative(normals[..., :m])
+    a[..., 0] = normals[..., 0]
+    a = a.transpose(1, 2, 0).astype(complex, order="C")
     return t.reshape((m,) * n_particles + (rows,)), a, t[0].real
 
 
 def _contract(t, a, skip=None):
     # sum t over every particle axis l != skip against a[l], last axis
-    # first, each sum in index order
+    # first: one broadcast product and one reduce over axis l from -0.0,
+    # which leaves the first product's bits as they are. The reduce runs
+    # on the product's float view, whose last axis holds every row's real
+    # and imaginary parts: that axis stays the innermost loop even for one
+    # row, so axis l is never summed pairwise and each sum runs in index
+    # order
     for l in reversed(range(len(a))):
         if l == skip:
             continue
-        pick = (slice(None),) * l
-        acc = t[pick + (0,)] * a[l, 0]
-        for i in range(1, a.shape[1]):
-            acc += t[pick + (i,)] * a[l, i]
-        t = acc
+        # a[l] (m, rows) broadcasts at axis l: only the skipped axis can
+        # still follow it
+        al = a[l] if skip is None or l > skip else a[l][:, None]
+        t = np.add.reduce((t * al).view(float), axis=l,
+                          initial=-0.0).view(complex)
     return t
 
 
@@ -245,15 +257,14 @@ def currents_all_batch(values, normals, n_particles, mode: SpinDimensionMode):
     the multi-indices c with c_k = mu.
     """
     values = np.asarray(values)
-    lead = values.shape[:-1]
-    m = 1 + mode.spatial_dims
     t, a, scale = _bilinears(values, normals, n_particles, mode)
-    j = np.empty((n_particles,) + t.shape[-2:], dtype=complex)
+    m, rows = a.shape[1:]
+    j = np.empty((n_particles, m, rows), dtype=complex)
     for k in range(n_particles):
         j[k] = _contract(t, a, skip=k)
-    out = np.zeros((len(scale), n_particles, 4))
-    out[:, :, :m] = _real_part(j, scale, "a current").transpose(2, 0, 1)
-    return out.reshape(lead + (n_particles, 4))
+    out = np.zeros((rows, n_particles, 4))
+    out[..., :m] = _real_part(j, scale, "a current").transpose(2, 0, 1)
+    return out.reshape(values.shape[:-1] + (n_particles, 4))
 
 
 def density_batch(values, normals, n_particles, mode: SpinDimensionMode):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +45,10 @@ __all__ = [
 
 SYNC_TOLERANCE = 1e-9
 BATCH_SIZE = 1024        # rows per integration job and sampler weight block
+
+# 0-d, which a ufunc takes as it is, where it would convert a Python number
+# on every call
+_ZERO = np.array(0.0)
 
 EVENT_NODE = "node_proximity"
 EVENT_VALIDITY = "validity_breach"
@@ -77,18 +80,19 @@ def _flow(psi, foliation, x):
     """Velocity field data at a batch of configurations x (..., N, 4).
 
     Returns (v, rho, j, grad_ok): the parametrized velocities
-    j_k/(df.j_k), the density j_1.n_1, the raw currents, and a mask of rows
-    whose gradient is timelike. A row at a node or with a spacelike
-    gradient divides by zero or takes the root of a negative number; the
-    caller flags such rows, and enters ``np.errstate`` once around its
-    calls to silence numpy's warnings for them, not on every call.
+    j_k/(df.j_k), the density j_1.n_1, the raw currents, and a mask
+    (..., N) of the particles whose gradient is timelike. A row at a node
+    or with a spacelike gradient divides by zero or takes the root of a
+    negative number; the caller flags such rows, and enters
+    ``np.errstate`` once around its calls to silence numpy's warnings for
+    them, not on every call.
     """
     grads = foliation.gradient(x)
     nn = minkowski_norm_sq(grads)
-    grad_ok = (nn > 0).all(axis=-1)
+    grad_ok = nn > _ZERO
     normals = grads / np.sqrt(nn)[..., None]
-    values = psi.evaluate_batch(x)
-    j = currents_all_batch(values, normals, psi.n_particles, psi.mode)
+    j = currents_all_batch(psi.evaluate_batch(x), normals, psi.n_particles,
+                           psi.mode)
     rho = minkowski_dot(j[..., 0, :], normals[..., 0, :])
     v = j / minkowski_dot(grads, j)[..., None]
     return v, rho, j, grad_ok
@@ -128,26 +132,28 @@ def _integrate_batch(psi, foliation, pts0, s_grid, columns, node_threshold,
     batch's events.
     """
     n_steps = len(s_grid) - 1
-    batch = pts0.shape[0]
+    batch, n_particles = pts0.shape[:2]
     # the column of each grid label, -1 where it is not kept
-    column = np.full(n_steps + 1, -1)
-    column[columns] = np.arange(len(columns))
+    column = [-1] * (n_steps + 1)
+    for c, i in enumerate(columns.tolist()):
+        column[i] = c
     if column[0] >= 0:
         out[:, column[0]] = pts0
     valid[:] = n_steps
     events = []
 
     active = np.arange(batch)
-    # per active row: every stage of this step met a timelike gradient,
-    # and every stage a rho above the node threshold
-    grad_ok = np.ones(batch, dtype=bool)
+    # per active row: every stage of this step met a timelike gradient at
+    # every particle, and every stage a rho above the node threshold
+    grad_ok = np.ones((batch, n_particles), dtype=bool)
     rho_ok = np.ones(batch, dtype=bool)
+    threshold = np.asarray(node_threshold, dtype=float)     # 0-d
 
     def stage(x):
         v, rho, j, ok = _flow(psi, foliation, x)
         nonlocal grad_ok, rho_ok
         grad_ok &= ok
-        rho_ok &= rho > node_threshold
+        rho_ok &= rho > threshold
         return v, j
 
     y = pts0.copy()
@@ -174,13 +180,15 @@ def _integrate_batch(psi, foliation, pts0, s_grid, columns, node_threshold,
             # the accepted point is checked, and its velocity is the next k1
             k_next, _ = stage(y_proj)
 
-            nun_ok = grad_ok & rho_ok
-            inside = foliation.contains_spatial(y_proj).all(axis=-1)
-            good = nun_ok & inside
+            inside = foliation.contains_spatial(y_proj)
+            good = (grad_ok & inside).all(axis=-1) & rho_ok
             if not good.all():
+                grad_rows = grad_ok.all(axis=-1)
+                nun_ok = grad_rows & rho_ok
+                inside = inside.all(axis=-1)
                 for row in np.flatnonzero(~nun_ok):
                     traj = int(active[row])
-                    kind = EVENT_NODE if grad_ok[row] else EVENT_VALIDITY
+                    kind = EVENT_NODE if grad_rows[row] else EVENT_VALIDITY
                     events.append((traj, s_here, kind))
                 for row in np.flatnonzero(nun_ok & ~inside):
                     events.append((int(active[row]), s_next, EVENT_VALIDITY))
@@ -252,6 +260,10 @@ def integrate_ensemble(psi, foliation, initial_points, s0, s_end, step,
                                 node_threshold, points[lo:hi], valid[lo:hi])
 
     if workers > 1 and len(jobs) > 1:
+        # imported here: a serial run never loads concurrent.futures (nor
+        # the logging module it imports)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     else:

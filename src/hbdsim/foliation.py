@@ -60,9 +60,13 @@ class Foliation:
             raise ValueError("spatial_dims must be 1 or 3")
         self.spatial_dims = spatial_dims
         if validity_box is not None:
-            validity_box = np.asarray(validity_box, dtype=float)
+            # a read-only copy, so the bounds that contains_spatial reads,
+            # fixed here, stay the box's
+            validity_box = np.array(validity_box, dtype=float)
             if validity_box.shape != (spatial_dims, 2):
                 raise ValueError("validity box must have shape (spatial_dims, 2)")
+            validity_box.setflags(write=False)
+            self._box_lo, self._box_hi = validity_box.T
         self.validity_box = validity_box
 
     # -- variant-specific -------------------------------------------------
@@ -107,8 +111,7 @@ class Foliation:
         if self.validity_box is None:
             return np.ones(np.shape(x)[:-1], dtype=bool)
         xi = np.asarray(x)[..., 1:1 + self.spatial_dims]
-        lo, hi = self.validity_box.T
-        return ((xi >= lo) & (xi <= hi)).all(axis=-1)
+        return ((xi >= self._box_lo) & (xi <= self._box_hi)).all(axis=-1)
 
     def _scan_grid(self, resolution):
         if self.validity_box is None:

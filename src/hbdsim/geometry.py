@@ -59,9 +59,13 @@ class SpinDimensionMode(Enum):
 def minkowski_dot(a, b):
     """a.b = a^0 b^0 - a^1 b^1 - a^2 b^2 - a^3 b^3, broadcast over leading axes."""
     # one multiply for the four products, then the formula's subtractions
-    # in its order, so the bits are the formula's
+    # in its order, so the bits are the formula's; the last two subtract
+    # in place from the first difference, the one array allocated
     p = np.multiply(a, b)
-    return p[..., 0] - p[..., 1] - p[..., 2] - p[..., 3]
+    dot = p[..., 0] - p[..., 1]
+    dot -= p[..., 2]
+    dot -= p[..., 3]
+    return dot
 
 
 def minkowski_norm_sq(a):

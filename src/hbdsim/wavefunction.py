@@ -64,6 +64,9 @@ __all__ = [
 
 CHUNK_TERMS = 16384    # mode x component terms of a slot's largest factor
                        # per factor-stage chunk
+# the phase pass's constants as 0-d arrays: a ufunc takes them as they are,
+# where it would convert a Python float on every call
+_ONE, _MINUS_ONE, _MINUS_TWO = (np.array(c) for c in (1.0, -1.0, -2.0))
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,8 @@ class NParticleWavefunction:
         # here. The selector is the run's slice, whose phases are a view,
         # where the factor's columns are consecutive, and the columns
         # themselves otherwise
-        self._coeffs = [c for c, _ in branches]
+        self._branch_coeffs = np.array([c for c, _ in branches],
+                                       dtype=complex).reshape(-1, 1, 1)
         # read on every call, so fixed here rather than through the mode
         d = self._spinor_dim = self.mode.spinor_dim
         self._spatial_mus = tuple(self.mode.vector_indices[1:])
@@ -230,6 +234,12 @@ class NParticleWavefunction:
         self._slot_half_p4s = half
         # one chunk width for all slots, the narrowest slot's
         self._chunk_points = min(widths)
+        # every (slot, branch, selector, coefficients), flat, for the loop
+        # of a whole-batch factor pass
+        self._factor_tables = [(k, b, sel, coef)
+                               for k, tables in enumerate(
+                                   self._slot_factor_tables)
+                               for b, (sel, coef) in enumerate(tables)]
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -259,11 +269,11 @@ class NParticleWavefunction:
             t -= half_p4s[mu] * xs[mu]
         np.tan(t, out=t)
         w = t * t
-        w += 1.0
-        np.divide(-2.0, w, out=w)
+        w += _ONE
+        np.divide(_MINUS_TWO, w, out=w)
         out = np.empty(t.shape, dtype=complex)
         np.multiply(t, w, out=out.imag)
-        np.subtract(-1.0, w, out=out.real)
+        np.subtract(_MINUS_ONE, w, out=out.real)
         return out
 
     def evaluate_batch(self, points) -> np.ndarray:
@@ -290,17 +300,19 @@ class NParticleWavefunction:
 
     def _combine(self, factors):
         # psi (rows, D) from the slots' factor values factors[k] (B, d,
-        # rows): per branch their Kronecker product over the slots, summed
-        d = self._spinor_dim
-        # component-major (D, rows); the branch sum starts from zero, which
-        # also gives every exactly zero component the sign +0.0
-        out = 0.0
-        for b, c_br in enumerate(self._coeffs):
-            val = factors[0][b]
-            for k in range(1, self.n_particles):
-                val = (val[:, None] * factors[k][b]).reshape(len(val) * d, -1)
-            out = out + c_br * val
-        return out.T.copy()
+        # rows): every branch's Kronecker product over the slots, one
+        # product per slot for all branches, and the branch coefficients
+        # (B, 1, 1) times it, coefficient first (with fused multiply-adds a
+        # complex product's bits depend on the operand order); then one
+        # reduce over the branches, in order (the branch axis is outermost)
+        # and from +0.0, which also gives every exactly zero component the
+        # sign +0.0. Component-major (D, rows) until the last copy
+        val = factors[0]
+        for f in factors[1:]:
+            val = (val[:, :, None] * f[:, None]).reshape(
+                len(f), val.shape[1] * f.shape[1], f.shape[-1])
+        return np.add.reduce(self._branch_coeffs * val, axis=0,
+                             initial=0.0).T.copy()
 
     def _slot_factors(self, x, slots=None):
         # the factor values (n, B, d, P) of every branch at the points x
@@ -308,27 +320,29 @@ class NParticleWavefunction:
         # default), chunk by chunk: the slots' distinct phases in one pass,
         # then per slot and factor its modes' phases times their
         # coefficients, modes first, summed
-        half, tables = self._slot_half_p4s, self._slot_factor_tables
+        half, factors = self._slot_half_p4s, self._factor_tables
         if slots is not None:
-            half, tables = half[:, slots], [tables[k] for k in slots]
+            half = half[:, slots]
+            factors = [(i,) + f[1:] for i, k in enumerate(slots)
+                       for f in factors if f[0] == k]
         step = self._chunk_points
-        out = np.empty((len(tables), len(self._coeffs), self._spinor_dim,
+        out = np.empty((len(x), len(self._branch_coeffs), self._spinor_dim,
                         x.shape[1]), dtype=complex)
         # the points' components as contiguous rows, once per call: every
         # chunk's (n, P, 4) view below transposes back to rows that the
         # phase pass reads with unit stride
         rows = np.ascontiguousarray(x.transpose(2, 0, 1)).transpose(1, 2, 0)
         for lo in range(0, x.shape[1], step):
+            cols = slice(lo, lo + step)
             # (n, M, 1, P): a factor's modes are then (n_f, 1, P)
-            ph = self._slot_phases(rows[:, lo:lo + step], half)[:, :, None]
+            ph = self._slot_phases(rows[:, cols], half)[:, :, None]
             # the mode axis is outermost, so each sum runs mode after mode
             # whatever the chunk size (no pairwise summation); it starts
             # from zero, which can only change the sign of an exact zero,
             # and the branch sum resets that
-            for ph_k, out_k, tables_k in zip(ph, out, tables):
-                for f, (sel, coef) in zip(out_k, tables_k):
-                    np.add.reduce(ph_k[sel] * coef, axis=0,
-                                  out=f[:, lo:lo + step])
+            for k, b, sel, coef in factors:
+                np.add.reduce(ph[k, sel] * coef, axis=0,
+                              out=out[k, b, :, cols])
         return out
 
     def evaluate(self, points) -> np.ndarray:

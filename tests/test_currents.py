@@ -324,3 +324,69 @@ def test_bilinear_table_requires_one_entry_per_row(monkeypatch):
     monkeypatch.setattr(cmod, "alpha", lambda i, mode: np.ones((2, 2)))
     with pytest.raises(ConsistencyError):
         cmod._bilinear_table.__wrapped__(1, D11)
+
+
+def _loop_contract(t, a, skip=None):
+    # the contraction as a loop over components, left to right: the order
+    # oracle for the kernel's one product and reduce per particle axis
+    for l in reversed(range(len(a))):
+        if l == skip:
+            continue
+        pick = (slice(None),) * l
+        acc = t[pick + (0,)] * a[l, 0]
+        for i in range(1, a.shape[1]):
+            acc += t[pick + (i,)] * a[l, i]
+        t = acc
+    return t
+
+
+@pytest.mark.parametrize("mode", [D11, D31])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contraction_sums_in_index_order(mode, n):
+    # each contraction is the left-to-right sum over its axis, bit for bit
+    # and in the sign of every zero, on 1, 3 and 1024 rows, with rows and
+    # components that are exactly zero; both kernels' outputs are those
+    # sums' real parts
+    rng = np.random.default_rng(71 + n)
+    dim = mode.spin_space_dim(n)
+    for rows in (1, 3, 1024):
+        vals = rng.normal(size=(rows, dim)) + 1j * rng.normal(
+            size=(rows, dim))
+        vals[rng.random((rows, dim)) < 0.2] = 0.0
+        vals[1:2] = 0.0
+        # unit normals with every spatial component nonzero, so that no
+        # product drops out of a D31 sum
+        spatial = rng.normal(0.0, 0.5, size=(rows, n, 3))
+        normals = np.concatenate(
+            [np.sqrt(1.0 + np.sum(spatial ** 2, axis=-1, keepdims=True)),
+             spatial], axis=-1)
+        t, a, _ = cmod._bilinears(vals, normals, n, mode)
+        m = a.shape[1]
+        j = np.zeros((rows, n, 4))
+        for k in range(n):
+            want = _loop_contract(t, a, skip=k)
+            got = cmod._contract(t, a, skip=k)
+            assert got.tobytes() == want.tobytes()
+            j[:, k, :m] = want.real.T
+        rho = _loop_contract(t, a)
+        assert cmod._contract(t, a).tobytes() == rho.tobytes()
+        assert currents_all_batch(vals, normals, n, mode).tobytes() == (
+            j.tobytes())
+        assert density_batch(vals, normals, n, mode).tobytes() == (
+            np.ascontiguousarray(rho.real).tobytes())
+
+
+@pytest.mark.parametrize("mode", [D11, D31])
+def test_contraction_of_negative_zeros_stays_negative(mode):
+    # bilinears that are all -0.0 against coefficients of either sign:
+    # every product's imaginary part is -0.0 where the coefficient is
+    # positive, so a sum from +0.0 would flip it
+    rng = np.random.default_rng(89)
+    m = 1 + mode.spatial_dims
+    for n in (1, 2, 3):
+        t = np.full((m,) * n + (4,), complex(-0.0, -0.0))
+        a = (rng.normal(size=(n, m, 4)) + 0j)
+        a[:, :, 0] = np.abs(a[:, :, 0])
+        for skip in (None, *range(n)):
+            assert cmod._contract(t, a, skip).tobytes() == (
+                _loop_contract(t, a, skip).tobytes())

@@ -915,6 +915,29 @@ def test_equilibrium_never_imports_numpy_random(tmp_path):
     assert (tmp_path / "out" / "report.json").is_file()
 
 
+def test_simulate_loads_no_thread_pool_logging_or_argparse(tmp_path):
+    # the thread pool is imported only for a run with several workers and
+    # argparse only by the command-line entry point, so importing the
+    # package and its CLI module and running one ``simulate`` in a fresh
+    # interpreter leaves concurrent.futures, logging and argparse unloaded
+    code = ("import sys\n"
+            "import hbdsim, hbdsim.cli\n"
+            "from hbdsim.scenario import bundled_scenario_path, "
+            "load_scenario\n"
+            "hbdsim.cli.run_simulate(load_scenario(bundled_scenario_path("
+            f"'curved_n1_packet')), {str(tmp_path / 'out')!r})\n"
+            "print([m for m in ('concurrent.futures', 'logging', 'argparse')"
+            " if m in sys.modules])\n")
+    src = str(Path(ensemble.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]
+    assert (tmp_path / "out" / "trajectories.csv").is_file()
+
+
 def _halting_packet(labels=None, workers=1):
     # a spreading packet under a node threshold between its starts'
     # densities: the tails halt at a node at once, two trajectories halt

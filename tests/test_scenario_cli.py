@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hbdsim
-from hbdsim import currents
+from hbdsim import cli, currents, dynamics
 from hbdsim.cli import main, run_equilibrium, run_simulate
 from hbdsim.dynamics import BATCH_SIZE, integrate_ensemble
 from hbdsim.ensemble import (
@@ -648,6 +648,44 @@ def test_row_path_calls_hold_at_most_one_row_block(tmp_path, monkeypatch):
     most.clear()
     run_simulate(sc, tmp_path / "sim")
     assert len(most) == 3 and max(most.values()) <= BATCH_SIZE
+
+
+def test_simulate_evaluates_psi_and_currents_once_per_rk_stage(
+        tmp_path, monkeypatch):
+    # through the names a tracer wraps (the method on its class and the
+    # kernel where dynamics looks it up), a simulate run calls psi and the
+    # current kernel once per RK stage: four per step and one per batch
+    # for the first stage. A flow that skipped either name would read less
+    calls = {"evaluate_batch": 0, "currents_all_batch": 0}
+    evaluate, kernel = (NParticleWavefunction.evaluate_batch,
+                        dynamics.currents_all_batch)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    steps = []
+
+    def integrating(*args, **kwargs):
+        ens = integrate_ensemble(*args, **kwargs)
+        steps.append(int(ens.valid_steps.max()))
+        return ens
+
+    sc = load_scenario(bundled_scenario_path("curved_n2_entangled"))
+    monkeypatch.setattr(NParticleWavefunction, "evaluate_batch",
+                        counting("evaluate_batch", evaluate))
+    monkeypatch.setattr(dynamics, "currents_all_batch",
+                        counting("currents_all_batch", kernel))
+    monkeypatch.setattr(cli, "integrate_ensemble", integrating)
+    run_simulate(sc, tmp_path / "sim")
+    n_steps = len(dynamics._label_grid(sc.integration.s0, sc.integration.s1,
+                                       sc.integration.step)) - 1
+    assert steps == [n_steps]
+    # one more psi call: the node threshold's density at the starts
+    assert calls == {"evaluate_batch": 4 * n_steps + 2,
+                     "currents_all_batch": 4 * n_steps + 1}
 
 
 def test_checks_cli(tmp_path):

@@ -561,3 +561,26 @@ def test_exact_zero_components_are_positive_zero():
     lower = psi.evaluate_batch(x)[:, 1]
     assert np.all(lower == 0.0)
     assert not np.any(np.signbit(lower.real) | np.signbit(lower.imag))
+
+
+def test_combine_sums_the_branches_in_order_from_positive_zero():
+    # the branch sum is the loop over branches from +0.0 of each branch's
+    # coefficient times its Kronecker product over the slots, bit for bit,
+    # exact zeros included
+    rng = np.random.default_rng(83)
+    d11, d31 = _row_independence_states()
+    for psi in (d11, d31):
+        d, n = psi.mode.spinor_dim, psi.n_particles
+        factors = [rng.normal(size=(len(psi.branches), d, 5))
+                   + 1j * rng.normal(size=(len(psi.branches), d, 5))
+                   for _ in range(n)]
+        factors[0][:, :, 2] = 0.0
+        want = 0.0
+        for b, (c, _) in enumerate(psi.branches):
+            val = factors[0][b]
+            for f in factors[1:]:
+                val = (val[:, None] * f[b]).reshape(len(val) * d, -1)
+            want = want + c * val
+        got = psi._combine(factors)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
