@@ -73,9 +73,6 @@ BLOCK_TERMS = 1 << 16  # most terms D x C x rows per pass; bounds the
                        # temporaries (1 MB): D31 N=3 (D = C = 64) takes
                        # 16 rows a pass, D11 N=2 4096 rows
 _NEGATIVE_ZERO = complex(-0.0, -0.0)
-# the reality guard's constants as 0-d arrays, which a ufunc takes as they
-# are, where it would convert a Python float on every call
-_IMAG_TOLERANCE, _TINY = np.array(IMAG_TOLERANCE), np.array(1e-300)
 
 
 def _check_normals(normals, n_particles):
@@ -90,7 +87,7 @@ def _check_normals(normals, n_particles):
 
 def _real_part(value, scale, what):
     imag = abs(value.imag)
-    if (imag > _IMAG_TOLERANCE * np.maximum(scale, _TINY)).any():
+    if (imag > IMAG_TOLERANCE * np.maximum(scale, 1e-300)).any():
         raise ConsistencyError(
             f"{what} has imaginary residue {imag.max():.3e} "
             f"above policy threshold")

@@ -46,10 +46,6 @@ __all__ = [
 SYNC_TOLERANCE = 1e-9
 BATCH_SIZE = 1024        # rows per integration job and sampler weight block
 
-# 0-d, which a ufunc takes as it is, where it would convert a Python number
-# on every call
-_ZERO = np.array(0.0)
-
 EVENT_NODE = "node_proximity"
 EVENT_VALIDITY = "validity_breach"
 
@@ -89,7 +85,7 @@ def _flow(psi, foliation, x):
     """
     grads = foliation.gradient(x)
     nn = minkowski_norm_sq(grads)
-    grad_ok = nn > _ZERO
+    grad_ok = nn > 0
     normals = grads / np.sqrt(nn)[..., None]
     j = currents_all_batch(psi.evaluate_batch(x), normals, psi.n_particles,
                            psi.mode)
@@ -134,9 +130,8 @@ def _integrate_batch(psi, foliation, pts0, s_grid, columns, node_threshold,
     n_steps = len(s_grid) - 1
     batch, n_particles = pts0.shape[:2]
     # the column of each grid label, -1 where it is not kept
-    column = [-1] * (n_steps + 1)
-    for c, i in enumerate(columns.tolist()):
-        column[i] = c
+    column = np.full(n_steps + 1, -1)
+    column[columns] = np.arange(len(columns))
     if column[0] >= 0:
         out[:, column[0]] = pts0
     valid[:] = n_steps
@@ -147,13 +142,12 @@ def _integrate_batch(psi, foliation, pts0, s_grid, columns, node_threshold,
     # every particle, and every stage a rho above the node threshold
     grad_ok = np.ones((batch, n_particles), dtype=bool)
     rho_ok = np.ones(batch, dtype=bool)
-    threshold = np.asarray(node_threshold, dtype=float)     # 0-d
 
     def stage(x):
         v, rho, j, ok = _flow(psi, foliation, x)
         nonlocal grad_ok, rho_ok
         grad_ok &= ok
-        rho_ok &= rho > threshold
+        rho_ok &= rho > node_threshold
         return v, j
 
     y = pts0.copy()

@@ -234,12 +234,6 @@ class NParticleWavefunction:
         self._slot_half_p4s = half
         # one chunk width for all slots, the narrowest slot's
         self._chunk_points = min(widths)
-        # every (slot, branch, selector, coefficients), flat, for the loop
-        # of a whole-batch factor pass
-        self._factor_tables = [(k, b, sel, coef)
-                               for k, tables in enumerate(
-                                   self._slot_factor_tables)
-                               for b, (sel, coef) in enumerate(tables)]
 
     @classmethod
     def from_product_branches(cls, branches):
@@ -320,11 +314,9 @@ class NParticleWavefunction:
         # default), chunk by chunk: the slots' distinct phases in one pass,
         # then per slot and factor its modes' phases times their
         # coefficients, modes first, summed
-        half, factors = self._slot_half_p4s, self._factor_tables
+        half, tables = self._slot_half_p4s, self._slot_factor_tables
         if slots is not None:
-            half = half[:, slots]
-            factors = [(i,) + f[1:] for i, k in enumerate(slots)
-                       for f in factors if f[0] == k]
+            half, tables = half[:, slots], [tables[k] for k in slots]
         step = self._chunk_points
         out = np.empty((len(x), len(self._branch_coeffs), self._spinor_dim,
                         x.shape[1]), dtype=complex)
@@ -340,9 +332,10 @@ class NParticleWavefunction:
             # whatever the chunk size (no pairwise summation); it starts
             # from zero, which can only change the sign of an exact zero,
             # and the branch sum resets that
-            for k, b, sel, coef in factors:
-                np.add.reduce(ph[k, sel] * coef, axis=0,
-                              out=out[k, b, :, cols])
+            for k, tables_k in enumerate(tables):
+                for b, (sel, coef) in enumerate(tables_k):
+                    np.add.reduce(ph[k, sel] * coef, axis=0,
+                                  out=out[k, b, :, cols])
         return out
 
     def evaluate(self, points) -> np.ndarray:
