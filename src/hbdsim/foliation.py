@@ -13,8 +13,9 @@ Three variants are provided:
 * ``GraphLeaf``           f(x) = x^0 - h(spatial x), leaves are graphs
                           x^0 = s + h(xi) over a fixed spatial slice.
 
-Graph profiles h come from named analytic families with closed-form
-gradients; no numerical differentiation enters the dynamics hot path.
+Graph profiles h come from named analytic families of xi_1 alone; each
+gives its value and its closed-form slope dh/dxi_1, so no numerical
+differentiation enters the dynamics hot path.
 Each foliation provides leaf labels, the (contravariant) gradient field,
 the future unit normal, a per-leaf chart xi -> point, the induced area
 element of that chart, and a validity scan certifying timelikeness of the
@@ -148,6 +149,8 @@ class ConstantNormal(Foliation):
     def __init__(self, n, spatial_dims=3, validity_box=None):
         super().__init__(spatial_dims, validity_box)
         n = np.asarray(n, dtype=float)
+        if n.shape != (4,):
+            raise ValueError(f"normal must have shape (4,), got {n.shape}")
         nsq = minkowski_norm_sq(n)
         if nsq <= 0 or n[0] <= 0:
             raise ValueError("normal must be future-oriented timelike")
@@ -215,11 +218,6 @@ class TanhProfile:
         """dh/dxi_1 at xi_1 = u, the one nonzero component of grad h."""
         return self.a * self.b / np.cosh(self.b * u) ** 2
 
-    def grad(self, xi):
-        g = np.zeros(xi.shape)
-        g[..., 0] = self.slope(xi[..., 0])
-        return g
-
 
 class RippleProfile:
     """h(xi) = a * sin(b * xi_1) * exp(-xi_1^2 / w^2): an oscillatory bump."""
@@ -240,11 +238,6 @@ class RippleProfile:
         env = np.exp(-u * u / w2)
         return self.a * env * (self.b * np.cos(bu)
                                - (2.0 * u / w2) * np.sin(bu))
-
-    def grad(self, xi):
-        g = np.zeros(xi.shape)
-        g[..., 0] = self.slope(xi[..., 0])
-        return g
 
 
 class GraphLeaf(Foliation):
@@ -285,8 +278,7 @@ class GraphLeaf(Foliation):
 
     def area_element(self, s, xi):
         xi = np.asarray(xi, dtype=float)
-        grad = self.profile.grad(xi)
-        g2 = np.sum(grad * grad, axis=-1)
+        g2 = self.profile.slope(xi[..., 0]) ** 2
         if np.any(g2 >= 1.0):
             raise ValidityBreach("|grad h| >= 1: leaf not space-like there")
         return np.sqrt(1.0 - g2)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -53,6 +54,24 @@ SCHEMA_VERSION = 1
 
 def _fail(kind, message):
     raise ScenarioError(kind, message)
+
+
+@contextmanager
+def _block(kind):
+    """Read one top-level block: a malformed value anywhere in it fails as
+    ``kind``. A ``ScenarioError`` raised inside passes through unchanged."""
+    try:
+        yield
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ScenarioError(kind, f"malformed {kind} block: {exc!r}") from exc
+
+
+def _object(raw, kind):
+    """The top-level block ``kind``, which must be a JSON object."""
+    block = raw.get(kind)
+    if not isinstance(block, dict):
+        _fail(kind, f"{kind} block must be a JSON object")
+    return block
 
 
 def scenario_hash(raw: dict) -> str:
@@ -104,67 +123,56 @@ class Scenario:
 
 
 def _parse_foliation(block, spatial_dims):
-    if not isinstance(block, dict) or "variant" not in block:
-        _fail("foliation", "foliation block must carry a 'variant' tag")
     variant = block["variant"]
     box = block.get("validity_box")
-    try:
-        if variant == "flat":
-            return FlatTime(spatial_dims, validity_box=box)
-        if variant == "constant_normal":
-            return ConstantNormal(block["n"], spatial_dims, validity_box=box)
-        if variant == "graph_tanh":
-            return GraphLeaf(TanhProfile(block["a"], block["b"]),
-                             validity_box=box, spatial_dims=spatial_dims)
-        if variant == "graph_ripple":
-            return GraphLeaf(RippleProfile(block["a"], block["b"], block["w"]),
-                             validity_box=box, spatial_dims=spatial_dims)
-    except KeyError as exc:
-        _fail("foliation", f"foliation variant {variant!r} missing parameter {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail("foliation", str(exc))
+    if variant == "flat":
+        return FlatTime(spatial_dims, validity_box=box)
+    if variant == "constant_normal":
+        return ConstantNormal(block["n"], spatial_dims, validity_box=box)
+    if variant == "graph_tanh":
+        return GraphLeaf(TanhProfile(block["a"], block["b"]),
+                         validity_box=box, spatial_dims=spatial_dims)
+    if variant == "graph_ripple":
+        return GraphLeaf(RippleProfile(block["a"], block["b"], block["w"]),
+                         validity_box=box, spatial_dims=spatial_dims)
     _fail("foliation", f"unknown foliation variant {variant!r}")
 
 
 def _parse_mode_params(entry, mass, mode):
-    try:
-        return make_mode(entry["p"], mass,
-                         _integer(entry, "energy_sign", 1, "wavefunction", -1),
-                         _integer(entry, "spin_label", 1, "wavefunction", 1),
-                         mode)
-    except (KeyError, ValueError) as exc:
-        _fail("wavefunction", f"bad mode parameters {entry!r}: {exc}")
+    return make_mode(entry["p"], mass,
+                     _integer(entry, "energy_sign", 1, "wavefunction", -1),
+                     _integer(entry, "spin_label", 1, "wavefunction", 1),
+                     mode)
 
 
 def _expand_packet(packet, mass, mode, foliation, default_s):
     """Gaussian momentum comb: modes p0 + a*dp along one axis, weighted by
     exp(-(a dp)^2 / (4 sigma_p^2)) and phased to center the packet at the
     chart point center_xi on the leaf center_s."""
-    try:
-        p0 = np.atleast_1d(np.asarray(packet["p0"], dtype=float))
-        sigma_p = float(packet["sigma_p"])
-        dp = float(packet["dp"])
-        half = _integer(packet, "half_modes", None, "wavefunction", 0)
-        center_xi = np.atleast_1d(np.asarray(packet["center_xi"], dtype=float))
-    except KeyError as exc:
-        _fail("wavefunction", f"packet missing parameter {exc}")
+    p0 = np.atleast_1d(np.asarray(packet["p0"], dtype=float))
+    sigma_p = _number(packet, "sigma_p", None, "wavefunction")
+    dp = _number(packet, "dp", None, "wavefunction")
+    half = _integer(packet, "half_modes", None, "wavefunction", 0)
+    center_xi = np.atleast_1d(np.asarray(packet["center_xi"], dtype=float))
     if sigma_p <= 0 or dp <= 0:
         _fail("wavefunction", "packet needs sigma_p > 0 and dp > 0")
+    if center_xi.shape != (mode.spatial_dims,):
+        _fail("wavefunction", f"packet center_xi needs {mode.spatial_dims} "
+              f"components in {mode.value}")
     axis = _integer(packet, "axis", 0, "wavefunction", 0)
     if axis >= mode.spatial_dims:
         _fail("wavefunction", f"packet axis {axis} needs axis < "
               f"{mode.spatial_dims} in {mode.value}")
     sign = _integer(packet, "energy_sign", 1, "wavefunction", -1)
     label = _integer(packet, "spin_label", 1, "wavefunction", 1)
-    center_s = float(packet.get("center_s", default_s))
+    center_s = _number(packet, "center_s", default_s, "wavefunction")
     xbar = foliation.leaf_point(center_s, center_xi)
 
     factor = []
     for a in range(-half, half + 1):
         p = p0.copy()
         p[axis] += a * dp
-        md = _parse_mode_params({"p": p, "energy_sign": sign,
-                                 "spin_label": label}, mass, mode)
+        md = make_mode(p, mass, sign, label, mode)
         g = np.exp(-(a * dp) ** 2 / (4.0 * sigma_p ** 2))
         phase = np.exp(1j * minkowski_dot(md.four_momentum, xbar))
         factor.append((g * phase, md))
@@ -185,33 +193,26 @@ def _parse_factor(entry, mass, mode, foliation, default_s):
 
 
 def _parse_wavefunction(block, mass, mode, foliation, default_s):
-    if not isinstance(block, dict):
-        _fail("wavefunction", "wavefunction block must be an object")
-    try:
-        if "branches" in block:
-            branches = []
-            for br in block["branches"]:
-                c = br["coefficient"]
-                factors = [_parse_factor(f, mass, mode, foliation, default_s)
-                           for f in br["factors"]]
-                branches.append((complex(c[0], c[1]), factors))
-            if not branches:
-                _fail("wavefunction", "wavefunction needs at least one branch")
-            return NParticleWavefunction.from_product_branches(branches)
-        if "terms" in block:
-            terms = []
-            for term in block["terms"]:
-                c = term["coefficient"]
-                modes = tuple(_parse_mode_params(m, mass, mode)
-                              for m in term["modes"])
-                terms.append((complex(c[0], c[1]), modes))
-            if not terms:
-                _fail("wavefunction", "wavefunction needs at least one term")
-            return NParticleWavefunction(terms)
-    except ScenarioError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        _fail("wavefunction", f"malformed wavefunction block: {exc}")
+    if "branches" in block:
+        branches = []
+        for br in block["branches"]:
+            c = br["coefficient"]
+            factors = [_parse_factor(f, mass, mode, foliation, default_s)
+                       for f in br["factors"]]
+            branches.append((complex(c[0], c[1]), factors))
+        if not branches:
+            _fail("wavefunction", "wavefunction needs at least one branch")
+        return NParticleWavefunction.from_product_branches(branches)
+    if "terms" in block:
+        terms = []
+        for term in block["terms"]:
+            c = term["coefficient"]
+            modes = tuple(_parse_mode_params(m, mass, mode)
+                          for m in term["modes"])
+            terms.append((complex(c[0], c[1]), modes))
+        if not terms:
+            _fail("wavefunction", "wavefunction needs at least one term")
+        return NParticleWavefunction(terms)
     _fail("wavefunction", "wavefunction block must carry 'terms' or 'branches'")
 
 
@@ -234,18 +235,10 @@ def _integer(block, key, default, kind, minimum):
 def _reject_non_finite(raw):
     """json.load accepts NaN and Infinity; a scenario holding either
     anywhere fails with the kind of the top-level block that holds it."""
-    def non_finite(value):
-        if isinstance(value, dict):
-            return any(non_finite(v) for v in value.values())
-        if isinstance(value, list):
-            return any(non_finite(v) for v in value)
-        return isinstance(value, float) and not math.isfinite(value)
-
     for key, value in raw.items():
-        if non_finite(value):
-            kind = (key if key in ("foliation", "wavefunction", "integration",
-                                   "ensemble") else "validation")
-            _fail(kind, f"{key} holds a non-finite number")
+        with _block(key if key in ("foliation", "wavefunction", "integration",
+                                   "ensemble") else "validation"):
+            json.dumps(value, allow_nan=False)
 
 
 def _grid_resolution(block, key, default, kind, minimum, dims):
@@ -267,8 +260,49 @@ def _parse_boxes(raw_boxes, n_particles, sd, what):
     return boxes
 
 
+def _parse_ensemble(block, n_particles, sd):
+    size = _integer(block, "size", None, "ensemble", 1)
+    seed = _integer(block, "seed", None, "ensemble", 0)
+    boxes = _parse_boxes(block.get("boxes"), n_particles, sd, "sampling boxes")
+    target = block.get("target_boxes")
+    target_boxes = (_parse_boxes(target, n_particles, sd, "target boxes")
+                    if target is not None else boxes)
+    # default bin count per axis ~ M^(1/(2 + joint dims))
+    joint_dims = n_particles * sd
+    default_bins = max(4, round(size ** (1.0 / (2 + joint_dims))))
+    scan_res = block.get("scan_resolution")
+    if scan_res is not None:
+        _grid_resolution(block, "scan_resolution", None, "ensemble", 2,
+                         joint_dims)
+    tv_threshold = _number(block, "tv_threshold", 0.05, "ensemble")
+    ks_coefficient = _number(block, "ks_coefficient", 1.63, "ensemble")
+    if not tv_threshold > 0 or not ks_coefficient > 0:
+        _fail("ensemble", "tv_threshold and ks_coefficient must be positive")
+    order = _grid_resolution(block, "quadrature_order", 64, "ensemble", 1,
+                             joint_dims)
+    if CDF_RESOLUTION * order ** (joint_dims - 1) > MAX_QUADRATURE_NODES:
+        _fail("ensemble",
+              f"quadrature_order {order} needs {CDF_RESOLUTION}*{order}**"
+              f"{joint_dims - 1} marginal-CDF points, above "
+              f"{MAX_QUADRATURE_NODES}")
+    bins = _integer(block, "bins_per_axis", default_bins, "ensemble", 1)
+    if (BIN_ORDER * bins) ** joint_dims > MAX_QUADRATURE_NODES:
+        _fail("ensemble",
+              f"bins_per_axis {bins} needs ({BIN_ORDER}*{bins})**"
+              f"{joint_dims} bin-mass points, above {MAX_QUADRATURE_NODES}")
+    return EnsembleBlock(
+        size=size, seed=seed, boxes=boxes, target_boxes=target_boxes,
+        bins_per_axis=bins, quadrature_order=order,
+        tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
+        scan_resolution=scan_res)
+
+
 def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
-    """Validate a raw scenario dict completely and build the run objects."""
+    """Validate a raw scenario dict completely and build the run objects.
+
+    Each top-level block is read under ``_block``, so a malformed value
+    anywhere in it fails with that block's kind.
+    """
     if not isinstance(raw, dict):
         _fail("validation", "scenario must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
@@ -283,81 +317,51 @@ def parse_scenario(raw: dict, name: str = "<memory>") -> Scenario:
     mass = _number(raw, "mass", 1.0, "validation")
     if mass < 0:
         _fail("validation", "mass must be a nonnegative number")
+    sd = mode.spatial_dims
 
-    foliation = _parse_foliation(raw.get("foliation"), mode.spatial_dims)
-    scan_res = _grid_resolution(raw["foliation"], "scan_resolution", 201,
-                                "foliation", 2, mode.spatial_dims)
-    report = foliation.validity_scan(scan_res)
+    with _block("foliation"):
+        fol_raw = _object(raw, "foliation")
+        foliation = _parse_foliation(fol_raw, sd)
+        scan_res = _grid_resolution(fol_raw, "scan_resolution", 201,
+                                    "foliation", 2, sd)
+        report = foliation.validity_scan(scan_res)
     if not report.passed:
         _fail("validity_breach",
               f"foliation gradient not timelike: margin {report.margin:.4f} "
               f"at {report.worst_point.tolist()}")
 
-    integ_raw = raw.get("integration")
-    if not isinstance(integ_raw, dict):
-        _fail("integration", "integration block missing")
-    s0 = _number(integ_raw, "s0", 0.0, "integration")
-    s1 = _number(integ_raw, "s1", None, "integration")
-    step = _number(integ_raw, "step", None, "integration")
-    if not s1 > s0 or not step > 0:
-        _fail("integration", "need s1 > s0 and step > 0")
-    factor = _number(integ_raw, "node_threshold_factor", 1e-10, "integration")
-    if factor < 0:
-        _fail("integration", "node_threshold_factor must be nonnegative")
+    with _block("integration"):
+        integ_raw = _object(raw, "integration")
+        s0 = _number(integ_raw, "s0", 0.0, "integration")
+        s1 = _number(integ_raw, "s1", None, "integration")
+        step = _number(integ_raw, "step", None, "integration")
+        if not s1 > s0 or not step > 0:
+            _fail("integration", "need s1 > s0 and step > 0")
+        factor = _number(integ_raw, "node_threshold_factor", 1e-10,
+                         "integration")
+        if factor < 0:
+            _fail("integration", "node_threshold_factor must be nonnegative")
 
-    psi = _parse_wavefunction(raw.get("wavefunction"), mass, mode,
-                              foliation, s0)
-    sd = mode.spatial_dims
+    with _block("wavefunction"):
+        psi = _parse_wavefunction(_object(raw, "wavefunction"), mass, mode,
+                                  foliation, s0)
+    n = psi.n_particles
 
-    init = np.asarray(integ_raw.get("initial_positions", []), dtype=float)
-    if init.size == 0:
-        init = np.zeros((0, psi.n_particles, sd))
-    if init.ndim != 3 or init.shape[1:] != (psi.n_particles, sd):
-        _fail("integration",
-              f"initial_positions must have shape (n, N={psi.n_particles}, {sd})")
+    with _block("integration"):
+        init = np.asarray(integ_raw.get("initial_positions", []), dtype=float)
+        if init.size == 0:
+            init = np.zeros((0, n, sd))
+        if init.ndim != 3 or init.shape[1:] != (n, sd):
+            _fail("integration",
+                  f"initial_positions must have shape (n, N={n}, {sd})")
     integration = IntegrationBlock(s0=s0, s1=s1, step=step,
                                    node_threshold_factor=factor,
                                    initial_positions=init)
 
     ensemble = None
-    ens_raw = raw.get("ensemble")
-    if ens_raw is not None:
-        size = _integer(ens_raw, "size", None, "ensemble", 1)
-        seed = _integer(ens_raw, "seed", None, "ensemble", 0)
-        boxes = _parse_boxes(ens_raw.get("boxes"), psi.n_particles, sd,
-                             "sampling boxes")
-        target = ens_raw.get("target_boxes")
-        target_boxes = (_parse_boxes(target, psi.n_particles, sd,
-                                     "target boxes")
-                        if target is not None else boxes)
-        # default bin count per axis ~ M^(1/(2 + joint dims))
-        joint_dims = psi.n_particles * sd
-        default_bins = max(4, round(size ** (1.0 / (2 + joint_dims))))
-        scan_res = ens_raw.get("scan_resolution")
-        if scan_res is not None:
-            _grid_resolution(ens_raw, "scan_resolution", None, "ensemble", 2,
-                             joint_dims)
-        tv_threshold = _number(ens_raw, "tv_threshold", 0.05, "ensemble")
-        ks_coefficient = _number(ens_raw, "ks_coefficient", 1.63, "ensemble")
-        if not tv_threshold > 0 or not ks_coefficient > 0:
-            _fail("ensemble", "tv_threshold and ks_coefficient must be positive")
-        order = _grid_resolution(ens_raw, "quadrature_order", 64, "ensemble",
-                                 1, joint_dims)
-        if CDF_RESOLUTION * order ** (joint_dims - 1) > MAX_QUADRATURE_NODES:
-            _fail("ensemble",
-                  f"quadrature_order {order} needs {CDF_RESOLUTION}*{order}**"
-                  f"{joint_dims - 1} marginal-CDF points, above "
-                  f"{MAX_QUADRATURE_NODES}")
-        bins = _integer(ens_raw, "bins_per_axis", default_bins, "ensemble", 1)
-        if (BIN_ORDER * bins) ** joint_dims > MAX_QUADRATURE_NODES:
-            _fail("ensemble",
-                  f"bins_per_axis {bins} needs ({BIN_ORDER}*{bins})**"
-                  f"{joint_dims} bin-mass points, above {MAX_QUADRATURE_NODES}")
-        ensemble = EnsembleBlock(
-            size=size, seed=seed, boxes=boxes, target_boxes=target_boxes,
-            bins_per_axis=bins, quadrature_order=order,
-            tv_threshold=tv_threshold, ks_coefficient=ks_coefficient,
-            scan_resolution=scan_res)
+    if raw.get("ensemble") is not None:
+        with _block("ensemble"):
+            ensemble = _parse_ensemble(_object(raw, "ensemble"), n, sd)
 
     return Scenario(name=raw.get("name", name), mode=mode, psi=psi,
                     foliation=foliation, integration=integration,

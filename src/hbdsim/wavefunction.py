@@ -116,8 +116,10 @@ def make_mode(p, m, energy_sign, spin_label,
         raise ValueError("massless mode needs nonzero momentum")
     if energy_sign not in (1, -1):
         raise ValueError("energy sign must be +1 or -1")
-
     energy = float(np.sqrt(m * m + sum(c * c for c in p)))
+    if not np.isfinite(energy):
+        raise ValueError(f"mode energy is not finite for p={p}, m={m}")
+
     p4 = np.zeros(4)
     p4[0] = energy_sign * energy
     p4[1:1 + len(p)] = p
@@ -128,6 +130,9 @@ def make_mode(p, m, energy_sign, spin_label,
     sl = slash(p4, mode=mode)
     raw = (sl + m * np.eye(d)) @ seed
     norm = np.linalg.norm(raw)
+    if norm == np.inf:
+        # a finite energy just below the overflow still squares past it
+        raise ValueError(f"amplitude spinor overflows for p={p}, m={m}")
     if norm < 1e-300:
         raise ConsistencyError("degenerate amplitude spinor (cannot occur for "
                                "valid momentum/mass input)")

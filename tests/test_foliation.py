@@ -156,6 +156,11 @@ def test_constant_normal_validation():
         ConstantNormal([0.5, 1.0, 0, 0], 1)       # spacelike
     with pytest.raises(ValueError):
         ConstantNormal([-1.0, 0, 0, 0], 1)        # past-oriented
+    # a plain ValueError, not an IndexError or a broadcast error
+    for n in ([], [1.0], [1.0, 0.0], [1.0, 0.0, 0.0],
+              [1.0, 0.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="normal must have shape"):
+            ConstantNormal(n, 1)
 
 
 def test_area_element_values():

@@ -62,6 +62,17 @@ def _modes_factor(raw, p=(0.5,), weight=(1.0, 0.0), **fields):
         {"modes": [{"p": list(p), "weight": list(weight), **fields}]}]
 
 
+def _packet_on(foliation, center_xi):
+    """Mutation: the packet centered at ``center_xi`` on ``foliation``."""
+    def mutate(raw):
+        raw["foliation"] = foliation
+        _packet(raw)["center_xi"] = center_xi
+    return mutate
+
+
+TILTED_NORMAL = [1.0453385141288605, 0.3045202934471426, 0.0, 0.0]
+
+
 def small_scenario_dict(size=120, s1=1.0):
     """A fast curved one-particle equilibrium scenario for CLI tests."""
     return {
@@ -220,6 +231,45 @@ def test_hash_tracks_content():
         {"coefficient": [1.0, 0.0],
          "modes": [{"p": [0.5], "energy_sign": True}]}]}),
                  "wavefunction", id="term-energy_sign-boolean"),
+    # a malformed value anywhere in a block fails with that block's kind
+    pytest.param(lambda r: r["integration"].update(
+        initial_positions=[[["x"]]]), "integration",
+                 id="initial_positions-non-numeric"),
+    pytest.param(lambda r: r["integration"].update(
+        initial_positions=[[[-1.0]], [[0.2, 0.3]]]), "integration",
+                 id="initial_positions-ragged"),
+    pytest.param(lambda r: r["ensemble"].update(boxes=[[["x", 7.0]]]),
+                 "ensemble", id="boxes-non-numeric"),
+    pytest.param(lambda r: r["ensemble"].update(boxes=[[[-8.5, 7.0], [1.0]]]),
+                 "ensemble", id="boxes-ragged"),
+    pytest.param(lambda r: r["ensemble"].update(target_boxes=[[[{}, 8.0]]]),
+                 "ensemble", id="target_boxes-non-numeric"),
+    pytest.param(lambda r: r["ensemble"].update(
+        target_boxes=[[[-8.0, 8.0]], [[1.0]]]), "ensemble",
+                 id="target_boxes-ragged"),
+    pytest.param(lambda r: r.update(foliation={"variant": "constant_normal",
+                                               "n": [1.0, 0.0]}),
+                 "foliation", id="constant_normal-n-two-components"),
+    pytest.param(lambda r: r.update(ensemble=[1]), "ensemble",
+                 id="ensemble-not-an-object"),
+    pytest.param(lambda r: _packet(r).update(sigma_p=1e300),
+                 "wavefunction", id="packet-sigma_p-overflows"),
+    # float() reads the strings "nan" and "inf" as numbers
+    pytest.param(lambda r: _packet(r).update(sigma_p="nan"),
+                 "wavefunction", id="packet-sigma_p-nan-string"),
+    pytest.param(lambda r: _packet(r).update(center_s="inf"),
+                 "wavefunction", id="packet-center_s-infinite-string"),
+    pytest.param(lambda r: r.update(foliation={
+        "variant": "graph_ripple", "a": 0.3, "b": 0.5, "w": 1e300,
+        "validity_box": [[-30.0, 30.0]]}), "foliation",
+                 id="ripple-w-overflows"),
+    pytest.param(lambda r: _modes_factor(r, p=[1e200]), "wavefunction",
+                 id="mode-energy-overflows"),
+    pytest.param(_packet_on({"variant": "flat"}, [-1.0, 1.0]),
+                 "wavefunction", id="packet-center_xi-too-long-flat"),
+    pytest.param(_packet_on({"variant": "constant_normal",
+                             "n": TILTED_NORMAL}, [0.0, 1.0]),
+                 "wavefunction", id="packet-center_xi-too-long-tilted"),
 ])
 def test_validation_error_kinds(mutate, kind):
     raw = small_scenario_dict()
@@ -227,6 +277,38 @@ def test_validation_error_kinds(mutate, kind):
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
     assert err.value.kind == kind
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value of a JSON tree that is not an object."""
+    if path and not isinstance(node, dict):
+        yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_malformed_leaf_fails_as_scenario_error(name):
+    # each value of a bundled scenario replaced in turn by a bad one: the
+    # parse returns or raises ScenarioError, never a bare Python error
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    kinds = set()
+    for path in _leaf_paths(raw):
+        for bad in ("x", [], [[1.0]], {}, None, 1e300):
+            mutated = copy.deepcopy(raw)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = bad
+            try:
+                with np.errstate(all="ignore"):
+                    parse_scenario(mutated)
+            except ScenarioError as exc:
+                kinds.add(exc.kind)
+    assert kinds <= {"validation", "foliation", "validity_breach",
+                     "wavefunction", "integration", "ensemble"}
 
 
 def test_ensemble_grid_caps_are_tight():
@@ -385,6 +467,22 @@ def test_cli_rejects_malformed_numeric_field(tmp_path, capsys, block, key,
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == kind
         assert key in error["message"]
+
+
+@pytest.mark.parametrize("value", ["x", [[[-1.0]], [[0.2, 0.3]]], [[{}]]])
+def test_cli_rejects_malformed_initial_positions(tmp_path, capsys, value):
+    # a malformed array exits 2 with one JSON error line, not a traceback
+    raw = small_scenario_dict()
+    raw["integration"]["initial_positions"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "equilibrium"):
+        capsys.readouterr()
+        assert main([command, "--scenario", str(path),
+                     "--out", str(tmp_path / command)]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["kind"] == "integration"
 
 
 def test_cli_rejects_oversized_scan_grids(tmp_path, capsys):

@@ -67,6 +67,13 @@ def test_mode_validation_errors():
         make_mode([0.1], 1.0, 1, 2, D11)
     with pytest.raises(ValueError):
         make_mode([0.1, 0.0], 1.0, 1, 1, D11)
+    # an energy or a spinor norm past the float range made a NaN or zero
+    # spinor that the residual guard (NaN > tol is False) let through
+    for p, m in (([1e200], 1.0), ([1e154], 1.0), ([0.0], 1e200),
+                 ([float("inf")], 1.0)):
+        with pytest.raises(ValueError), np.errstate(over="ignore",
+                                                    invalid="ignore"):
+            make_mode(p, m, 1, 1, D11)
 
 
 def test_massless_modes_allowed():
